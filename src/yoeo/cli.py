@@ -100,7 +100,6 @@ EVAL_DEFAULTS = {
     "out": None,
     "weights": None,  # optional; fills the report's parameter count
     "iou_samples": 20000,
-    "jobs": 1,
 }
 
 BENCH_DEFAULTS = {
@@ -112,7 +111,6 @@ BENCH_DEFAULTS = {
     "min_points": 30,
     "inlier_threshold": 0.01,
     "ransac_iterations": 128,
-    "jobs": 1,
 }
 
 
@@ -133,7 +131,11 @@ def _load_config_file(path: str) -> dict:
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < config file < explicitly passed flags."""
+    """defaults < config file < explicitly passed flags.
+
+    Every flag defaults to None, so None alone means "not passed"; a
+    `--no-...` flag can switch off a `true` from the config file.
+    """
     resolved = dict(defaults)
     if getattr(args, "config", None):
         file_cfg = _load_config_file(args.config)
@@ -143,7 +145,7 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         resolved.update(file_cfg)
     for key in defaults:
         value = getattr(args, key, None)
-        if value is not None and value is not False and value != []:
+        if value is not None:
             resolved[key] = value
     return resolved
 
@@ -470,11 +472,11 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int)
     gen.add_argument("--count", type=int)
     gen.add_argument("--points", type=int)
-    gen.add_argument("--partial-view", action="store_true", default=None,
-                     dest="partial_view")
+    gen.add_argument("--partial-view", action=argparse.BooleanOptionalAction,
+                     default=None, dest="partial_view")
     gen.add_argument("--objects-per-scene", type=int, dest="objects_per_scene")
-    gen.add_argument("--export-ply", action="store_true", default=None,
-                     dest="export_ply")
+    gen.add_argument("--export-ply", action=argparse.BooleanOptionalAction,
+                     default=None, dest="export_ply")
     gen.add_argument("--jobs", type=int)
     gen.set_defaults(func=cmd_generate)
 
@@ -501,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     inf.add_argument("--seed", type=int)
     inf.add_argument("--data")
     inf.add_argument("--weights")
-    inf.add_argument("--oracle", action="store_true", default=None)
+    inf.add_argument("--oracle", action=argparse.BooleanOptionalAction, default=None)
     inf.add_argument("--offset-sigma", type=float, dest="offset_sigma")
     inf.add_argument("--npcs-sigma", type=float, dest="npcs_sigma")
     inf.add_argument("--flip-prob", type=float, dest="flip_prob")
@@ -519,7 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--preds")
     ev.add_argument("--weights", help="report the model's parameter count")
     ev.add_argument("--iou-samples", type=int, dest="iou_samples")
-    ev.add_argument("--jobs", type=int)  # accepted for interface parity
     ev.set_defaults(func=cmd_eval)
 
     be = sub.add_parser("bench", help="time the geometry back-end")
@@ -531,7 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--min-points", type=int, dest="min_points")
     be.add_argument("--inlier-threshold", type=float, dest="inlier_threshold")
     be.add_argument("--ransac-iterations", type=int, dest="ransac_iterations")
-    be.add_argument("--jobs", type=int)  # accepted for interface parity
     be.set_defaults(func=cmd_bench)
 
     return parser

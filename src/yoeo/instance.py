@@ -2,9 +2,9 @@
 
 Points vote for their instance centroid (point + predicted offset);
 votes of one semantic class are grouped by single-linkage connectivity
-at a fixed bandwidth. Neighbor pairs come from a grid hash with cell
-size = bandwidth, so expected cost stays linear in the point count, and
-components are resolved with a sparse connected-components pass.
+at a fixed bandwidth. Coincident votes are collapsed first, neighbor
+pairs within the bandwidth come from a cKDTree, and components are
+resolved with a sparse connected-components pass.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from .errors import EmptyScene
 from .npcs import decode_bins
@@ -96,69 +97,13 @@ def _connectivity_labels(votes: np.ndarray, bandwidth: float) -> np.ndarray:
     Duplicate votes are collapsed before pairing so that perfectly
     coincident votes (the oracle case) cost O(n) instead of O(n^2).
     """
-    n = votes.shape[0]
-    if n == 1:
-        return np.zeros(1, dtype=np.int64)
-
     unique, inverse = np.unique(votes, axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)  # shape differs across numpy versions
     m = unique.shape[0]
-    if m == 1:
-        return np.zeros(n, dtype=np.int64)
-
-    cells = np.floor(unique / bandwidth).astype(np.int64)
-    # Hash 3D cells to scalars; collisions only add candidate pairs.
-    key = (
-        cells[:, 0] * np.int64(73856093)
-        ^ cells[:, 1] * np.int64(19349663)
-        ^ cells[:, 2] * np.int64(83492791)
+    pairs = cKDTree(unique).query_pairs(bandwidth, output_type="ndarray")
+    graph = coo_matrix(
+        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(m, m)
     )
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-
-    pairs_i = []
-    pairs_j = []
-    # Half-space scan: each unordered cross-cell pair is visited from one
-    # side only; the zero offset handles within-cell pairs.
-    offsets = [
-        (dx, dy, dz)
-        for dx in (-1, 0, 1)
-        for dy in (-1, 0, 1)
-        for dz in (-1, 0, 1)
-        if (dx, dy, dz) >= (0, 0, 0)
-    ]
-    for off in offsets:
-        neighbor_key = (
-            (cells[:, 0] + off[0]) * np.int64(73856093)
-            ^ (cells[:, 1] + off[1]) * np.int64(19349663)
-            ^ (cells[:, 2] + off[2]) * np.int64(83492791)
-        )
-        left = np.searchsorted(sorted_key, neighbor_key, side="left")
-        right = np.searchsorted(sorted_key, neighbor_key, side="right")
-        counts = right - left
-        has = counts > 0
-        if not has.any():
-            continue
-        lens = counts[has]
-        src = np.repeat(np.flatnonzero(has), lens)
-        # Flattened order[l:r] for every query, without a Python loop.
-        ends = np.cumsum(lens)
-        flat = order[np.arange(ends[-1]) - np.repeat(ends - lens, lens)
-                     + np.repeat(left[has], lens)]
-        keep = flat > src if off == (0, 0, 0) else flat != src
-        pairs_i.append(src[keep])
-        pairs_j.append(flat[keep])
-
-    if pairs_i:
-        i = np.concatenate(pairs_i)
-        j = np.concatenate(pairs_j)
-        dist = np.linalg.norm(unique[i] - unique[j], axis=1)
-        near = dist <= bandwidth
-        i, j = i[near], j[near]
-    else:
-        i = j = np.zeros(0, dtype=np.int64)
-
-    graph = coo_matrix((np.ones(i.size), (i, j)), shape=(m, m))
     _, labels = connected_components(graph, directed=False)
     return labels[inverse]
 

@@ -190,7 +190,6 @@ class EvalReport:
     matched: int
     missed: int
     spurious: int
-    throughput_hz: float | None = None
     param_count: int | None = None
 
     def to_dict(self) -> dict:
@@ -202,15 +201,14 @@ class EvalReport:
             "matched": self.matched,
             "missed": self.missed,
             "spurious": self.spurious,
-            "throughput_hz": self.throughput_hz,
             "param_count": self.param_count,
         }
 
     def to_text_table(self) -> str:
-        headers = ["", "Re", "Te", "Se", "mIoU", "A5", "A10", "Param", "Speed"]
+        headers = ["", "Re", "Te", "Se", "mIoU", "A5", "A10", "Param"]
         rows = []
 
-        def fmt(stats, label, a5="-", a10="-", param="-", speed="-"):
+        def fmt(stats, label, a5="-", a10="-", param="-"):
             def num(key, factor=1.0, digits=3):
                 value = stats.get(key)
                 if value is None or not np.isfinite(value):
@@ -219,7 +217,7 @@ class EvalReport:
 
             return [
                 label, num("re_deg", digits=2), num("te"), num("se"),
-                num("iou3d", 100.0, 1), a5, a10, param, speed,
+                num("iou3d", 100.0, 1), a5, a10, param,
             ]
 
         for cls in sorted(self.per_class):
@@ -231,7 +229,6 @@ class EvalReport:
                 a5=f"{self.a5:.1f}",
                 a10=f"{self.a10:.1f}",
                 param=str(self.param_count) if self.param_count else "-",
-                speed=f"{self.throughput_hz:.1f}" if self.throughput_hz else "-",
             )
         )
         widths = [max(len(r[i]) for r in rows + [headers]) for i in range(len(headers))]

@@ -14,6 +14,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import NonFiniteLoss, TooFewPoints, WeightFormatError, ZeroMask
 from .instance import PerPointPrediction
@@ -84,9 +85,12 @@ def init_params(
 def point_features(points: np.ndarray, k: int) -> np.ndarray:
     """Per-point feature rows: centered xyz and the k-NN mean offset.
 
-    Neighbors exclude the point itself and are averaged in ascending
-    distance order, which keeps the result invariant to input
-    permutation (up to exact distance ties).
+    Neighbors come from a cKDTree query, exclude the point itself (or,
+    when more than k exact duplicates crowd it out, the farthest
+    candidate) and are averaged in ascending distance order, which keeps
+    the result invariant to input permutation (up to exact distance
+    ties). Non-finite input yields all-NaN rows, so training stops on a
+    NonFiniteLoss instead of a tree-construction error.
     """
     p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = p.shape[0]
@@ -95,18 +99,14 @@ def point_features(points: np.ndarray, k: int) -> np.ndarray:
     # Column-sorted mean keeps the centroid (and so every downstream
     # value) bit-identical under input permutation.
     centered = p - np.sort(p, axis=0).mean(axis=0)
+    if not np.isfinite(centered).all():
+        return np.full((n, 6), np.nan)
 
-    nbr_mean = np.empty((n, 3))
-    block = 1024
-    for start in range(0, n, block):
-        rows = centered[start : start + block]
-        d2 = ((rows[:, None, :] - centered[None, :, :]) ** 2).sum(axis=2)
-        d2[np.arange(rows.shape[0]), np.arange(start, start + rows.shape[0])] = np.inf
-        idx = np.argpartition(d2, k, axis=1)[:, :k]
-        part_d = np.take_along_axis(d2, idx, axis=1)
-        idx = np.take_along_axis(idx, np.argsort(part_d, axis=1, kind="stable"), axis=1)
-        nbr_mean[start : start + block] = centered[idx].mean(axis=1) - rows
-    return np.concatenate([centered, nbr_mean], axis=1)
+    _, idx = cKDTree(centered).query(centered, k=k + 1)
+    others = idx != np.arange(n)[:, None]
+    others[others.all(axis=1), -1] = False
+    idx = idx[others].reshape(n, k)
+    return np.concatenate([centered, centered[idx].mean(axis=1) - centered], axis=1)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:

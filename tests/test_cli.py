@@ -2,7 +2,7 @@ import json
 import numpy as np
 
 from yoeo.cli import main
-from yoeo.network import init_params, load_weights
+from yoeo.network import init_params, load_weights, save_weights
 
 
 def run(*argv):
@@ -190,6 +190,22 @@ class TestInfer:
             payload = json.loads(f.read_text())
             assert payload["version"] == 1
 
+
+    def test_no_oracle_flag_overrides_config_true(self, tmp_path):
+        data = generate(tmp_path, count=2, points=512)
+        weights = tmp_path / "w.bin"
+        save_weights(init_params(hidden=(12, 16), k=8, rng_seed=6), weights)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"oracle": True}))
+        out = tmp_path / "overridden"
+        assert run("infer", "--config", cfg, "--no-oracle", "--data", data,
+                   "--weights", weights, "--out", out) == 0
+        assert json.loads((out / "resolved_config.json").read_text())["oracle"] is False
+        # Same files as a plain network run, so the oracle was not used.
+        plain = tmp_path / "plain"
+        assert run("infer", "--data", data, "--weights", weights, "--out", plain) == 0
+        for f in sorted(plain.glob("pred_*.json")):
+            assert f.read_bytes() == (out / f.name).read_bytes()
 
 class TestEval:
     def test_perfect_oracle_scores_full_accuracy(self, tmp_path, capsys):

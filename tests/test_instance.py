@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from yoeo.errors import EmptyScene
 from yoeo.instance import (
     ClusterParams,
     PartInstance,
     PerPointPrediction,
+    _connectivity_labels,
     cluster_instances,
     extract_npcs,
     vote_centroids,
@@ -191,6 +194,41 @@ class TestClustering:
             return out
 
         assert as_sets(base) == as_sets(permuted, index_map=perm)
+
+
+def partition(labels):
+    return {frozenset(np.flatnonzero(labels == c).tolist()) for c in np.unique(labels)}
+
+
+def brute_force_single_linkage(votes, bandwidth):
+    dist = np.linalg.norm(votes[:, None, :] - votes[None, :, :], axis=2)
+    _, labels = connected_components(csr_matrix(dist <= bandwidth), directed=False)
+    return labels
+
+
+class TestConnectivity:
+    def test_random_votes_match_brute_force(self):
+        rng = np.random.default_rng(30)
+        votes = rng.uniform(0.0, 0.6, size=(400, 3))
+        votes = np.vstack([votes, votes[:50]])  # coincident votes collapse first
+        got = _connectivity_labels(votes, 0.05)
+        assert partition(got) == partition(brute_force_single_linkage(votes, 0.05))
+
+    def test_chain_just_under_bandwidth_is_one_component(self):
+        bandwidth = 0.05
+        step = bandwidth * (1.0 - 1e-9)
+        chain = np.zeros((25, 3))
+        chain[:, 0] = np.arange(25) * step
+        # A second chain whose links are just over the bandwidth: all singletons.
+        apart = np.zeros((5, 3))
+        apart[:, 0] = np.arange(5) * bandwidth * (1.0 + 1e-9)
+        apart[:, 1] = 1.0
+        rotation = np.linalg.qr(np.random.default_rng(31).normal(size=(3, 3)))[0]
+        votes = np.vstack([chain, apart]) @ rotation.T
+        got = _connectivity_labels(votes, bandwidth)
+        assert partition(got) == partition(brute_force_single_linkage(votes, bandwidth))
+        assert len(np.unique(got[:25])) == 1
+        assert len(np.unique(got[25:])) == 5
 
 
 class TestExtractNpcs:

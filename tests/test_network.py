@@ -17,6 +17,7 @@ from yoeo.network import (
     loss_npcs,
     loss_semantic,
     oracle_predict,
+    point_features,
     save_weights,
     scene_gradients,
     train,
@@ -102,6 +103,40 @@ def brute_force_npcs(logits, bins, mask):
             total += -math.log(e[brow[axis]] / sum(e))
             count += 1
     return total / count
+
+
+def brute_force_features(points, k):
+    """O(n^2) reference: centered xyz and the mean offset to the k nearest
+    other points, summed in ascending distance order."""
+    centered = points - np.sort(points, axis=0).mean(axis=0)
+    d2 = ((centered[:, None, :] - centered[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    idx = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return np.concatenate([centered, centered[idx].mean(axis=1) - centered], axis=1)
+
+
+class TestPointFeatures:
+    def test_matches_brute_force(self):
+        points = np.random.default_rng(20).uniform(-0.5, 0.5, size=(300, 3))
+        got = point_features(points, 16)
+        assert np.abs(got - brute_force_features(points, 16)).max() < 1e-12
+
+    def test_more_than_k_duplicates_match_brute_force(self):
+        rng = np.random.default_rng(21)
+        cloud = rng.uniform(-0.5, 0.5, size=(60, 3))
+        points = np.vstack([cloud, np.repeat(cloud[:1], 12, axis=0)])
+        got = point_features(points, 8)
+        assert np.abs(got - brute_force_features(points, 8)).max() < 1e-12
+        # A copy whose k nearest others are all copies has a zero offset.
+        assert (got[60:, 3:] == 0.0).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_gives_all_nan_rows(self, bad):
+        points = np.random.default_rng(22).uniform(-0.5, 0.5, size=(40, 3))
+        points[5, 1] = bad
+        got = point_features(points, 8)
+        assert got.shape == (40, 6)
+        assert np.isnan(got).all()
 
 
 class TestLossSemantic:
