@@ -26,22 +26,20 @@ from .metrics import benchmark_throughput, evaluate_scenes
 from .network import (
     OracleNoise,
     TrainConfig,
-    TrainSample,
     forward,
     init_params,
     load_weights,
     oracle_predict,
     save_weights,
+    scene_to_sample,
     train,
 )
-from .npcs import JointAxis, PoseResult, encode_bins
+from .npcs import JointAxis, PoseResult
 from .pipeline import InstancePrediction, run_scene_pipeline
 from .synthetic import (
     GenConfig,
-    Scene,
     export_ply,
     generate_object,
-    gt_offsets,
     load_scene,
     render_scene,
     save_scene,
@@ -99,7 +97,6 @@ EVAL_DEFAULTS = {
     "preds": None,
     "out": None,
     "weights": None,  # optional; fills the report's parameter count
-    "iou_samples": 20000,
 }
 
 BENCH_DEFAULTS = {
@@ -230,18 +227,6 @@ def _scene_paths(data_dir: str) -> list[Path]:
     return paths
 
 
-def scene_to_sample(scene: Scene) -> TrainSample:
-    mask = scene.gt_semantic != 0
-    npcs = np.where(mask[:, None], np.nan_to_num(scene.gt_npcs, nan=0.5), 0.5)
-    return TrainSample(
-        points=scene.points,
-        labels=scene.gt_semantic,
-        offsets=gt_offsets(scene),
-        bins=encode_bins(npcs),
-        part_mask=mask,
-    )
-
-
 def cmd_train(args) -> int:
     resolved = _resolve(args, TRAIN_DEFAULTS)
     seed = _require(resolved, "seed", "train")
@@ -301,7 +286,9 @@ def _ransac_params(resolved: dict) -> RansacParams:
         max_iterations=resolved["ransac_iterations"],
         inlier_threshold=resolved["inlier_threshold"],
         rng_seed=resolved["seed"],
-        min_inlier_fraction=resolved.get("min_inlier_fraction", 0.25),
+        min_inlier_fraction=resolved.get(
+            "min_inlier_fraction", RansacParams.min_inlier_fraction
+        ),
     )
 
 
@@ -417,10 +404,7 @@ def cmd_eval(args) -> int:
     param_count = None
     if resolved["weights"]:
         param_count = load_weights(resolved["weights"]).num_parameters()
-    report = evaluate_scenes(
-        scenes, predictions,
-        iou_samples=resolved["iou_samples"], param_count=param_count,
-    )
+    report = evaluate_scenes(scenes, predictions, param_count=param_count)
     with open(out / "report.json", "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)
     table = report.to_text_table()
@@ -520,7 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--data")
     ev.add_argument("--preds")
     ev.add_argument("--weights", help="report the model's parameter count")
-    ev.add_argument("--iou-samples", type=int, dest="iou_samples")
     ev.set_defaults(func=cmd_eval)
 
     be = sub.add_parser("bench", help="time the geometry back-end")

@@ -1,4 +1,4 @@
-"""Evaluation: instance matching, pose errors, accuracy, throughput.
+"""Evaluation: instance matching, pose errors, box IoU, accuracy, throughput.
 
 Per gt instance the evaluator produces one PoseErrors row; unmatched gt
 instances carry infinite errors so accuracy thresholds count them as
@@ -11,14 +11,12 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 from .geometry import rotation_geodesic_deg
 from .npcs import PoseResult
 from .pipeline import InstancePrediction
 from .synthetic import Scene
-
-IOU_MC_SAMPLES = 20_000
-IOU_MC_SEED = 20240
 
 MATCH_IOU_THRESHOLD = 0.25
 
@@ -99,51 +97,66 @@ def _axis_line_distance(o1, d1, o2, d2) -> float:
     return float(abs(np.dot(diff, cross)) / norm)
 
 
+_CORNER_SIGNS = np.array(
+    [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]
+)
+# Corner index bits are the sign bits, so flipping one bit walks an edge.
+_EDGES = np.array([(i, i | bit) for i in range(8) for bit in (1, 2, 4) if not i & bit])
+
+
 def _box_corners(center, rotation, size):
-    half = np.asarray(size) / 2.0
-    signs = np.array(
-        [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]
-    )
-    return center + (signs * half) @ rotation.T
+    return center + (_CORNER_SIGNS * (np.asarray(size) / 2.0)) @ rotation.T
 
 
-def box_iou3d_monte_carlo(
-    center_a, rot_a, size_a, center_b, rot_b, size_b,
-    samples: int = IOU_MC_SAMPLES, seed: int = IOU_MC_SEED,
-) -> float:
-    """Oriented-box IoU estimated by uniform sampling of the union AABB.
+def _overlap_vertices(corners, center, rotation, size):
+    """The corners of one box inside another, plus the points where its
+    12 edges cross the other's 6 faces, in world coordinates."""
+    half = size / 2.0
+    reach = half + 1e-9 * size
+    local = (corners - center) @ rotation
+    start = local[_EDGES[:, 0]]
+    step = local[_EDGES[:, 1]] - start
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # t[side, edge, axis]: where the edge meets the face plane ±half[axis]
+        t = (np.stack([-half, half])[:, None, :] - start) / step
+        hits = start[:, None, :] + t[..., None] * step[:, None, :]
+        on_face = (t >= 0.0) & (t <= 1.0) & (np.abs(hits) <= reach).all(axis=-1)
+    inside = (np.abs(local) <= reach).all(axis=1)
+    return np.vstack([local[inside], hits[on_face]]) @ rotation.T + center
 
-    Seeded sampling keeps the estimate reproducible; identical boxes
-    return exactly 1 because every sample lands in both or neither.
+
+def box_iou3d(center_a, rot_a, size_a, center_b, rot_b, size_b) -> float:
+    """Exact oriented-box IoU.
+
+    The overlap is convex; its vertices are each box's corners inside the
+    other and the crossings of each box's edges with the other's faces, so
+    its volume is their convex hull's. Flat or empty overlaps and boxes
+    with a non-positive extent give 0; identical boxes give exactly 1.
     """
-    corners = np.vstack(
-        [_box_corners(center_a, rot_a, size_a), _box_corners(center_b, rot_b, size_b)]
-    )
-    lo = corners.min(axis=0)
-    hi = corners.max(axis=0)
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(lo, hi, size=(samples, 3))
-
-    def inside(center, rot, size):
-        local = (pts - center) @ rot
-        return (np.abs(local) <= np.asarray(size) / 2.0).all(axis=1)
-
-    in_a = inside(center_a, rot_a, size_a)
-    in_b = inside(center_b, rot_b, size_b)
-    union = (in_a | in_b).sum()
-    if union == 0:
+    size_a, size_b = np.asarray(size_a, float), np.asarray(size_b, float)
+    if not ((size_a > 0.0).all() and (size_b > 0.0).all()):
         return 0.0
-    return float((in_a & in_b).sum() / union)
+    vol_a, vol_b = float(np.prod(size_a)), float(np.prod(size_b))
+    points = np.vstack([
+        _overlap_vertices(_box_corners(center_a, rot_a, size_a), center_b, rot_b, size_b),
+        _overlap_vertices(_box_corners(center_b, rot_b, size_b), center_a, rot_a, size_a),
+    ])
+    inter = 0.0
+    if len(points) >= 4:
+        try:
+            inter = min(ConvexHull(points).volume, vol_a, vol_b)
+        except QhullError:
+            pass
+    return inter / (vol_a + vol_b - inter)
 
 
-def pose_errors(
-    pred: PoseResult, gt_pose, gt_size, gt_axis, iou_samples: int = IOU_MC_SAMPLES
-) -> PoseErrors:
+def pose_errors(pred: PoseResult, gt_pose, gt_size, gt_axis) -> PoseErrors:
     """Error metrics for one matched prediction/gt pair.
 
     Rotation error is the geodesic angle, translation error the
     Euclidean gap between transform translations. Size error is computed
     on gt-diagonal-normalized sizes (raw meters reported alongside).
+    The IoU is the exact overlap of the two oriented boxes.
     """
     re = rotation_geodesic_deg(pred.transform.rotation, gt_pose.rotation)
     te = float(np.linalg.norm(pred.transform.translation - gt_pose.translation))
@@ -160,9 +173,9 @@ def pose_errors(
 
     center_pred = pred.transform.apply(np.full(3, 0.5))
     center_gt = gt_pose.apply(np.full(3, 0.5))
-    iou = box_iou3d_monte_carlo(
+    iou = box_iou3d(
         center_pred, pred.transform.rotation, pred.size,
-        center_gt, gt_pose.rotation, gt_size, samples=iou_samples,
+        center_gt, gt_pose.rotation, gt_size,
     )
     return PoseErrors(re, te, se, de, iou, se_raw)
 
@@ -241,7 +254,6 @@ class EvalReport:
 def evaluate_scenes(
     scenes: list[Scene],
     predictions_per_scene: list[list[InstancePrediction]],
-    iou_samples: int = IOU_MC_SAMPLES,
     param_count: int | None = None,
 ) -> EvalReport:
     """Match, score, and aggregate over a scene list."""
@@ -258,8 +270,7 @@ def evaluate_scenes(
         for p_idx, g_idx, _ in matching.pairs:
             record = scene.instances[g_idx]
             errors = pose_errors(
-                preds[p_idx].result, record.pose, record.size, record.axis,
-                iou_samples=iou_samples,
+                preds[p_idx].result, record.pose, record.size, record.axis
             )
             rows.append((record.semantic_class, errors))
         for g_idx in matching.missed_gt:

@@ -19,6 +19,7 @@ from scipy.spatial import cKDTree
 from .errors import NonFiniteLoss, TooFewPoints, WeightFormatError, ZeroMask
 from .instance import PerPointPrediction
 from .npcs import NUM_BINS, encode_bins
+from .synthetic import Scene, gt_offsets
 
 WEIGHTS_MAGIC = b"YOEO"
 WEIGHTS_VERSION = 1
@@ -161,10 +162,7 @@ def loss_semantic(
     cross-entropy.
     """
     probs = np.asarray(semantic_probs, dtype=np.float64)
-    y = np.asarray(labels)
-    q = probs[np.arange(probs.shape[0]), y]
-    qf = np.maximum(q, _FLOOR)
-    return float((-params.alpha * (1.0 - q) ** params.gamma * np.log(qf)).mean())
+    return _semantic_grad(probs, np.asarray(labels), params)[0]
 
 
 def loss_center(
@@ -174,10 +172,8 @@ def loss_center(
     mask = np.asarray(instance_mask, dtype=bool)
     if not mask.any():
         raise ZeroMask("instance_mask selects no points")
-    err = np.asarray(pred_offsets, dtype=np.float64) - np.asarray(
-        gt_offsets, dtype=np.float64
-    )
-    return float(np.linalg.norm(err[mask], axis=1).mean())
+    offsets = np.asarray(pred_offsets, dtype=np.float64)
+    return _center_grad(offsets, np.asarray(gt_offsets, dtype=np.float64), mask)[0]
 
 
 def loss_npcs(
@@ -188,20 +184,13 @@ def loss_npcs(
     mask = np.asarray(part_mask, dtype=bool)
     if not mask.any():
         raise ZeroMask("part_mask selects no points")
-    logits = np.asarray(pred_logits, dtype=np.float64)[mask]
-    bins = np.asarray(gt_bins)[mask]
-    log_probs = np.log(np.maximum(_softmax(logits), _FLOOR))
-    n = logits.shape[0]
-    picked = log_probs[
-        np.arange(n)[:, None], np.arange(3)[None, :], bins
-    ]
-    return float(-picked.mean())
+    logits = np.asarray(pred_logits, dtype=np.float64)
+    return _npcs_grad(logits, np.asarray(gt_bins), mask)[0]
 
 
-def _semantic_grad(sem_logits, labels, focal: FocalLossParams):
-    """Focal loss and its gradient w.r.t. the semantic logits."""
-    n = sem_logits.shape[0]
-    probs = _softmax(sem_logits)
+def _semantic_grad(probs, labels, focal: FocalLossParams):
+    """Focal loss and its gradient w.r.t. the logits behind `probs`."""
+    n = probs.shape[0]
     y = np.asarray(labels)
     rows = np.arange(n)
     q = probs[rows, y]
@@ -259,6 +248,19 @@ class TrainSample:
     offsets: np.ndarray
     bins: np.ndarray
     part_mask: np.ndarray
+
+
+def scene_to_sample(scene: Scene) -> TrainSample:
+    """Supervision targets from ground truth; background is masked out."""
+    mask = scene.gt_semantic != 0
+    npcs = np.where(mask[:, None], np.nan_to_num(scene.gt_npcs, nan=0.5), 0.5)
+    return TrainSample(
+        points=scene.points,
+        labels=scene.gt_semantic,
+        offsets=gt_offsets(scene),
+        bins=encode_bins(npcs),
+        part_mask=mask,
+    )
 
 
 @dataclass(frozen=True)
@@ -319,7 +321,9 @@ def scene_gradients(
     cache = _forward_cache(params, sample.points, features)
     mask = np.asarray(sample.part_mask, dtype=bool)
 
-    sem_loss, d_sem = _semantic_grad(cache["sem_logits"], sample.labels, cfg.focal)
+    sem_loss, d_sem = _semantic_grad(
+        _softmax(cache["sem_logits"]), sample.labels, cfg.focal
+    )
     if mask.any():
         center_loss, d_off = _center_grad(cache["offsets"], sample.offsets, mask)
         npcs_loss, d_npcs = _npcs_grad(cache["npcs_logits"], sample.bins, mask)
@@ -428,8 +432,6 @@ def oracle_predict(
     encoding. Isolates the geometry stages from learned prediction
     quality.
     """
-    from .synthetic import gt_offsets as scene_gt_offsets
-
     rng = np.random.default_rng(noise.rng_seed)
     n = scene.points.shape[0]
 
@@ -441,7 +443,7 @@ def oracle_predict(
     probs = np.zeros((n, num_classes))
     probs[np.arange(n), labels] = 1.0
 
-    offsets = scene_gt_offsets(scene)
+    offsets = gt_offsets(scene)
     if noise.offset_sigma > 0.0:
         offsets = offsets + rng.normal(0.0, noise.offset_sigma, size=(n, 3))
 

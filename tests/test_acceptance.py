@@ -28,7 +28,7 @@ from yoeo.metrics import (
     PoseErrors,
     accuracy_at,
     benchmark_throughput,
-    box_iou3d_monte_carlo,
+    box_iou3d,
     evaluate_scenes,
 )
 from yoeo.network import (
@@ -310,7 +310,7 @@ def test_c06_joint_vs_individual_training():
             run_scene_pipeline(s.points, forward(params, s.points), cluster, ransac)
             for s in eval_scenes
         ]
-        report = evaluate_scenes(eval_scenes, preds, iou_samples=2000)
+        report = evaluate_scenes(eval_scenes, preds)
         mean_re = report.overall["re_deg"]
         return report.a10, np.inf if np.isnan(mean_re) else mean_re
 
@@ -361,7 +361,7 @@ def test_c07_end_to_end_oracle(standard_suite):
         run_scene_pipeline(s.points, oracle_predict(s, OracleNoise()))
         for s in standard_suite
     ]
-    report_clean = evaluate_scenes(standard_suite, clean, iou_samples=4000)
+    report_clean = evaluate_scenes(standard_suite, clean)
     assert report_clean.a5 == 100.0
     assert report_clean.overall["re_deg"] < 0.5
 
@@ -370,7 +370,7 @@ def test_c07_end_to_end_oracle(standard_suite):
         run_scene_pipeline(s.points, oracle_predict(s, noise))
         for s in standard_suite
     ]
-    report_noisy = evaluate_scenes(standard_suite, noisy, iou_samples=4000)
+    report_noisy = evaluate_scenes(standard_suite, noisy)
     # Baseline run measured A10 = 100.0; 90 is the pinned regression bound.
     assert report_noisy.a10 >= 90.0
     announce(
@@ -422,12 +422,12 @@ def test_c09_metric_self_consistency(standard_suite):
         (np.array([1.0, 0.0, 0.0]), np.eye(3), 0.0),
     ]
     for center_b, rot, analytic in fixtures:
-        mc = box_iou3d_monte_carlo(np.zeros(3), rot, size, center_b, rot, size)
-        assert abs(mc - analytic) <= 0.02
+        iou = box_iou3d(np.zeros(3), rot, size, center_b, rot, size)
+        assert abs(iou - analytic) <= 1e-9
     # Fifth fixture: the half-offset pair under a shared rotation.
     r = random_rotation(np.random.default_rng(5))
-    mc = box_iou3d_monte_carlo(np.zeros(3), r, size, r @ np.array([0.5, 0, 0]), r, size)
-    assert abs(mc - 1.0 / 3.0) <= 0.02
+    iou = box_iou3d(np.zeros(3), r, size, r @ np.array([0.5, 0, 0]), r, size)
+    assert abs(iou - 1.0 / 3.0) <= 1e-9
 
     report = evaluate_scenes(
         standard_suite[:20],
@@ -435,10 +435,9 @@ def test_c09_metric_self_consistency(standard_suite):
             run_scene_pipeline(s.points, oracle_predict(s, OracleNoise()))
             for s in standard_suite[:20]
         ],
-        iou_samples=2000,
     )
     assert report.a5 <= report.a10
-    announce("C9 metric-self-consistency", "(A5<=A10; 5 box-overlap fixtures within 0.02)")
+    announce("C9 metric-self-consistency", "(A5<=A10; 5 box-overlap fixtures within 1e-9)")
 
 
 def test_c10_determinism(tmp_path):
@@ -456,8 +455,7 @@ def test_c10_determinism(tmp_path):
         run_cli("train", "--seed", 12, "--data", data, "--out", model,
                 "--epochs", 2, "--hidden1", 12, "--hidden2", 16, "--k", 8)
         run_cli("infer", "--data", data, "--oracle", "--out", preds)
-        run_cli("eval", "--data", data, "--preds", preds, "--out", evald,
-                "--iou-samples", 2000)
+        run_cli("eval", "--data", data, "--preds", preds, "--out", evald)
         outputs[tag] = (data, model, preds, evald)
 
     (data_x, model_x, preds_x, eval_x) = outputs["x"]

@@ -213,8 +213,7 @@ class TestEval:
         preds = tmp_path / "preds"
         assert run("infer", "--data", data, "--oracle", "--out", preds) == 0
         out = tmp_path / "eval"
-        assert run("eval", "--data", data, "--preds", preds, "--out", out,
-                   "--iou-samples", 2000) == 0
+        assert run("eval", "--data", data, "--preds", preds, "--out", out) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["a5"] == 100.0
         assert report["a10"] == 100.0
@@ -231,8 +230,7 @@ class TestEval:
                 json.dumps(payload)
             )
         out = tmp_path / "eval"
-        assert run("eval", "--data", data, "--preds", preds, "--out", out,
-                   "--iou-samples", 1000) == 0
+        assert run("eval", "--data", data, "--preds", preds, "--out", out) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["a5"] == 0.0
         assert report["a10"] == 0.0
@@ -244,8 +242,7 @@ class TestEval:
         outs = []
         for name in ("e1", "e2"):
             out = tmp_path / name
-            assert run("eval", "--data", data, "--preds", preds, "--out", out,
-                       "--iou-samples", 2000) == 0
+            assert run("eval", "--data", data, "--preds", preds, "--out", out) == 0
             outs.append(out)
         assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
 
@@ -259,6 +256,15 @@ class TestEval:
         code = run("eval", "--data", data, "--preds", preds, "--out", tmp_path / "e")
         assert code != 0
         assert "YOEO-E" in capsys.readouterr().err
+
+    def test_removed_config_key_rejected(self, tmp_path, capsys):
+        # eval has no sampling or parallelism knobs; old keys are unknown.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jobs": 2}))
+        code = run("eval", "--config", cfg, "--data", tmp_path, "--preds", tmp_path,
+                   "--out", tmp_path / "e")
+        assert code != 0
+        assert "unknown config fields" in capsys.readouterr().err
 
 
 class TestBench:

@@ -8,7 +8,7 @@ from yoeo.metrics import (
     UNMATCHED,
     accuracy_at,
     benchmark_throughput,
-    box_iou3d_monte_carlo,
+    box_iou3d,
     evaluate_scenes,
     match_instances,
     pose_errors,
@@ -104,22 +104,22 @@ class TestPoseErrors:
 class TestBoxIou:
     def test_half_offset_unit_boxes(self):
         size = np.ones(3)
-        iou = box_iou3d_monte_carlo(
+        iou = box_iou3d(
             np.zeros(3), np.eye(3), size, np.array([0.5, 0, 0]), np.eye(3), size
         )
-        assert iou == pytest.approx(1.0 / 3.0, abs=0.02)
+        assert iou == pytest.approx(1.0 / 3.0, abs=1e-9)
 
     def test_identical_boxes_exactly_one(self):
         size = np.array([0.2, 0.3, 0.1])
         rot = rot_z(0.7)
-        iou = box_iou3d_monte_carlo(
+        iou = box_iou3d(
             np.ones(3), rot, size, np.ones(3), rot, size
         )
         assert iou == 1.0
 
     def test_disjoint_boxes_zero(self):
         size = np.array([0.1, 0.1, 0.1])
-        iou = box_iou3d_monte_carlo(
+        iou = box_iou3d(
             np.zeros(3), np.eye(3), size, np.array([1.0, 0, 0]), np.eye(3), size
         )
         assert iou == 0.0
@@ -130,18 +130,65 @@ class TestBoxIou:
         size = np.ones(3)
         for _ in range(3):
             r = random_rotation(rng)
-            iou = box_iou3d_monte_carlo(
+            iou = box_iou3d(
                 r @ np.zeros(3), r, size, r @ np.array([0.5, 0, 0]), r, size
             )
-            assert iou == pytest.approx(1.0 / 3.0, abs=0.02)
+            assert iou == pytest.approx(1.0 / 3.0, abs=1e-9)
 
     def test_doubling_samples_stable(self):
+        # The exact value agrees with a seeded 40k-sample Monte-Carlo
+        # estimate over the union's bounding box.
         size = np.array([1.0, 0.5, 0.25])
         args = (np.zeros(3), rot_z(0.4), size,
                 np.array([0.2, 0.1, 0.0]), rot_z(0.9), size)
-        base = box_iou3d_monte_carlo(*args, samples=20_000)
-        double = box_iou3d_monte_carlo(*args, samples=40_000)
-        assert abs(base - double) < 0.01
+        boxes = (args[:2], args[3:5])
+        half = size / 2.0
+        signs = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1)
+                          for sz in (-1, 1)])
+        corners = np.vstack([c + (signs * half) @ r.T for c, r in boxes])
+        pts = np.random.default_rng(20240).uniform(
+            corners.min(axis=0), corners.max(axis=0), size=(40_000, 3)
+        )
+        in_a, in_b = ((np.abs((pts - c) @ r) <= half).all(axis=1) for c, r in boxes)
+        reference = (in_a & in_b).sum() / (in_a | in_b).sum()
+        assert abs(box_iou3d(*args) - reference) < 0.01
+
+    def test_concentric_cube_turned_45_degrees(self):
+        # The overlap is a regular octagonal prism of area 2(sqrt 2 - 1).
+        size = np.ones(3)
+        iou = box_iou3d(np.zeros(3), np.eye(3), size, np.zeros(3), rot_z(np.pi / 4), size)
+        assert iou == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-9)
+
+    def test_nested_rotated_half_size_cube(self):
+        # Its circumradius, sqrt(3)/4, is below 0.5, so it lies inside.
+        r = random_rotation(np.random.default_rng(71))
+        iou = box_iou3d(
+            np.zeros(3), np.eye(3), np.ones(3), np.array([0.02, -0.03, 0.01]), r,
+            np.full(3, 0.5),
+        )
+        assert iou == pytest.approx(0.125, abs=1e-9)
+
+    def test_face_touching_cubes_zero(self):
+        r = random_rotation(np.random.default_rng(72))
+        size = np.ones(3)
+        iou = box_iou3d(np.zeros(3), r, size, r @ np.array([1.0, 0, 0]), r, size)
+        assert iou == pytest.approx(0.0, abs=1e-9)
+
+    def test_symmetric_in_its_arguments(self):
+        rng = np.random.default_rng(73)
+        for _ in range(20):
+            a = (rng.uniform(-0.2, 0.2, 3), random_rotation(rng), rng.uniform(0.2, 1, 3))
+            b = (rng.uniform(-0.2, 0.2, 3), random_rotation(rng), rng.uniform(0.2, 1, 3))
+            assert box_iou3d(*a, *b) == pytest.approx(box_iou3d(*b, *a), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "bad_size", [[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, -1.0, 1.0]],
+        ids=["zero", "flat", "negative"],
+    )
+    def test_non_positive_extent_gives_zero(self, bad_size):
+        bad, unit = np.array(bad_size), np.ones(3)
+        assert box_iou3d(np.zeros(3), np.eye(3), unit, np.zeros(3), np.eye(3), bad) == 0.0
+        assert box_iou3d(np.zeros(3), np.eye(3), bad, np.zeros(3), np.eye(3), unit) == 0.0
 
 
 class TestAccuracy:
@@ -183,7 +230,7 @@ class TestEvaluateScenes:
             scene, pred = oracle_scene_predictions(seed=seed)
             scenes.append(scene)
             preds.append(pred)
-        report = evaluate_scenes(scenes, preds, iou_samples=4000)
+        report = evaluate_scenes(scenes, preds)
         assert report.missed == 0
         assert report.a5 == 100.0
         assert report.a10 == 100.0
@@ -200,7 +247,7 @@ class TestEvaluateScenes:
 
     def test_report_serializes_and_prints(self):
         scene, pred = oracle_scene_predictions(seed=91)
-        report = evaluate_scenes([scene], [pred], iou_samples=2000)
+        report = evaluate_scenes([scene], [pred])
         data = report.to_dict()
         assert set(data) >= {"per_class", "overall", "a5", "a10"}
         table = report.to_text_table()
