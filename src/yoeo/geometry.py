@@ -154,8 +154,8 @@ def umeyama_align(
     if n < 3:
         raise DegenerateInput(f"need at least 3 correspondences, got {n}")
 
-    mu_x = x.mean(axis=0)
-    mu_y = y.mean(axis=0)
+    mu_x = x.sum(axis=0) / n
+    mu_y = y.sum(axis=0) / n
     xc = x - mu_x
     yc = y - mu_y
 
@@ -169,9 +169,9 @@ def umeyama_align(
     cov = yc.T @ xc / n
     u, d, vt = np.linalg.svd(cov)
     sign = np.ones(3)
-    if np.linalg.det(u) * np.linalg.det(vt) < 0.0:
+    if np.linalg.det(u @ vt) < 0.0:
         sign[2] = -1.0
-    rotation = u @ np.diag(sign) @ vt
+    rotation = (u * sign) @ vt
 
     if with_scale:
         var_x = (xc * xc).sum() / n
@@ -207,15 +207,6 @@ class RansacParams:
             raise ValueError("min_inlier_fraction must be in (0, 1]")
 
 
-def _det3(m: np.ndarray) -> np.ndarray:
-    """Closed-form determinant of stacked 3x3 matrices."""
-    return (
-        m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
-        - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
-        + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0])
-    )
-
-
 def _umeyama_batch(src: np.ndarray, dst: np.ndarray, with_scale: bool):
     """Vectorized minimal-sample fits: (B, k, 3) x (B, k, 3) -> s, R, t, valid.
 
@@ -223,8 +214,8 @@ def _umeyama_batch(src: np.ndarray, dst: np.ndarray, with_scale: bool):
     rank-deficient, so degeneracy is gated on its singular-value ratio.
     """
     k = src.shape[1]
-    mu_x = src.mean(axis=1, keepdims=True)
-    mu_y = dst.mean(axis=1, keepdims=True)
+    mu_x = src.sum(axis=1, keepdims=True) / k
+    mu_y = dst.sum(axis=1, keepdims=True) / k
     xc = src - mu_x
     yc = dst - mu_y
 
@@ -232,7 +223,7 @@ def _umeyama_batch(src: np.ndarray, dst: np.ndarray, with_scale: bool):
     u, d, vt = np.linalg.svd(cov)
     valid = d[:, 1] > 1e-9 * np.maximum(d[:, 0], 1e-300)
 
-    sign = np.where(_det3(u) * _det3(vt) < 0.0, -1.0, 1.0)
+    sign = np.where(np.linalg.det(u @ vt) < 0.0, -1.0, 1.0)
     correction = np.ones((src.shape[0], 3))
     correction[:, 2] = sign
     rotation = (u * correction[:, None, :]) @ vt
@@ -281,10 +272,6 @@ def ransac_align(
     rng = np.random.default_rng(params.rng_seed)
     attempts = params.max_iterations * 4 + 16
     idx = rng.integers(0, n, size=(attempts, k))
-    sorted_idx = np.sort(idx, axis=1)
-    distinct = np.flatnonzero(
-        (sorted_idx[:, 1:] != sorted_idx[:, :-1]).all(axis=1)
-    )
 
     threshold_sq = params.inlier_threshold**2
     best_count = -1
@@ -292,11 +279,13 @@ def ransac_align(
     evaluated = 0
     consumed = 0
     chunk_size = 4  # small first chunk: clean data exits immediately
-    while evaluated < params.max_iterations and consumed < distinct.size:
-        rows = distinct[consumed : consumed + chunk_size]
-        consumed += rows.size
+    while evaluated < params.max_iterations and consumed < attempts:
+        rows = idx[consumed : consumed + chunk_size]
+        consumed += chunk_size
         chunk_size = 32
-        s, r, t, ok = _umeyama_batch(x[idx[rows]], y[idx[rows]], with_scale)
+        ordered = np.sort(rows, axis=1)
+        rows = rows[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)]
+        s, r, t, ok = _umeyama_batch(x[rows], y[rows], with_scale)
         if not ok.any():
             continue
         s, r, t = s[ok], r[ok], t[ok]

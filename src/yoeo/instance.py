@@ -95,12 +95,21 @@ def _connectivity_labels(votes: np.ndarray, bandwidth: float) -> np.ndarray:
     """Single-linkage component label per vote (chains of pairs <= bandwidth).
 
     Duplicate votes are collapsed before pairing so that perfectly
-    coincident votes (the oracle case) cost O(n) instead of O(n^2).
+    coincident votes (the oracle case) cost O(n log n) instead of O(n^2).
+    The collapse is a lexicographic sort, which yields the same rows and
+    inverse as np.unique(axis=0) at a small fraction of its cost.
     """
-    unique, inverse = np.unique(votes, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)  # shape differs across numpy versions
+    order = np.lexsort(votes.T[::-1])
+    ordered = votes[order]
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(ordered), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    unique = ordered[first]
     m = unique.shape[0]
     pairs = cKDTree(unique).query_pairs(bandwidth, output_type="ndarray")
+    if pairs.size == 0:  # no links: every distinct vote is its own component
+        return inverse
     graph = coo_matrix(
         (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(m, m)
     )
@@ -114,35 +123,37 @@ def cluster_instances(
     """Partition non-background points into part instances.
 
     Points are split by argmax semantic class first, then grouped by
-    single-linkage connectivity of their centroid votes. Components
-    smaller than min_points are dropped. Output order (class id, then
-    smallest member index) and memberships are independent of input
-    permutation up to relabeling.
+    single-linkage connectivity of their centroid votes, in one pass for
+    all classes. Components smaller than min_points are dropped. Output
+    order (class id, then smallest member index) and memberships are
+    independent of input permutation up to relabeling.
     """
     p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     votes = vote_centroids(p, pred)
     labels = pred.semantic_probs.argmax(axis=1)
 
-    foreground = labels != params.background_class
-    if not foreground.any():
+    foreground = np.flatnonzero(labels != params.background_class)
+    if foreground.size == 0:
         raise EmptyScene("no non-background points to cluster")
 
+    # One connectivity pass for all classes: a class coordinate spaced
+    # twice the bandwidth apart keeps votes of different classes from
+    # linking and adds exactly zero to distances within a class.
+    keyed = np.column_stack(
+        [votes[foreground], labels[foreground] * (2.0 * params.bandwidth)]
+    )
+    comp = _connectivity_labels(keyed, params.bandwidth)
     instances = []
-    for cls in np.unique(labels[foreground]):
-        idx = np.flatnonzero(labels == cls)
-        comp = _connectivity_labels(votes[idx], params.bandwidth)
-        for comp_id in np.unique(comp):
-            members = idx[comp == comp_id]
-            if members.size < params.min_points:
-                continue
-            instances.append(
-                PartInstance(
-                    semantic_class=int(cls),
-                    point_indices=members,
-                    npcs_coords=None,  # filled below
-                    voted_centroid=votes[members].mean(axis=0),
-                )
+    for comp_id in np.flatnonzero(np.bincount(comp) >= params.min_points):
+        members = foreground[comp == comp_id]
+        instances.append(
+            PartInstance(
+                semantic_class=int(labels[members[0]]),
+                point_indices=members,
+                npcs_coords=None,  # filled below
+                voted_centroid=votes[members].mean(axis=0),
             )
+        )
     instances.sort(key=lambda inst: (inst.semantic_class, int(inst.point_indices[0])))
     return [
         PartInstance(

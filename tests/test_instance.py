@@ -127,6 +127,21 @@ class TestClustering:
         out = cluster_instances(pts, pred, ClusterParams(bandwidth=bandwidth))
         assert len(out) == 1
 
+    def test_overlapping_votes_of_different_classes_stay_apart(self):
+        rng = np.random.default_rng(7)
+        bandwidth = 0.05
+        pts, labels, inst = build_scene(
+            rng, [(1, [0, 0, 0], 80), (2, [0, 0, 0], 80), (3, [0.01, 0, 0], 80)]
+        )
+        offsets = perfect_offsets(pts, inst)
+        offsets += rng.normal(0, bandwidth / 10, size=offsets.shape)
+        pred = make_prediction(pts, labels, offsets)
+        out = cluster_instances(pts, pred, ClusterParams(bandwidth=bandwidth))
+        assert [instance.semantic_class for instance in out] == [1, 2, 3]
+        for instance in out:
+            expected = np.flatnonzero(labels == instance.semantic_class)
+            np.testing.assert_array_equal(instance.point_indices, expected)
+
     def test_background_excluded_and_empty_scene_raises(self):
         rng = np.random.default_rng(6)
         pts, labels, _ = build_scene(rng, [(0, [0, 0, 0], 80)])
