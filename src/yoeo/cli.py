@@ -1,10 +1,13 @@
 """Command-line entry point: generate | train | infer | eval | bench.
 
-Each command resolves its parameters from built-in defaults, then an
-optional JSON config file, then explicitly passed flags (flags win), and
-echoes the resolved configuration into the output directory. All errors
-print a machine-parsable ``YOEO-E<code>:`` prefix on stderr and exit
-non-zero.
+Each command declares its parameters once, in a table of config key ->
+(type, default[, help]); the flags (``--learning-rate`` for
+``learning_rate``, plus ``--no-...`` for bool keys), the defaults and the
+accepted config keys all come from it. Parameters resolve from the
+defaults, then an optional JSON config file, then explicitly passed flags
+(flags win), and are echoed into the output directory. A config key the
+command does not use is an error. All errors print a machine-parsable
+``YOEO-E<code>:`` prefix on stderr and exit non-zero.
 """
 
 from __future__ import annotations
@@ -20,10 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, YoeoError
-from .geometry import RansacParams, Sim3Transform
+from .geometry import RansacParams
 from .instance import ClusterParams
 from .metrics import benchmark_throughput, evaluate_scenes
 from .network import (
+    DEFAULT_HIDDEN,
+    DEFAULT_K,
     OracleNoise,
     TrainConfig,
     forward,
@@ -34,80 +39,99 @@ from .network import (
     scene_to_sample,
     train,
 )
-from .npcs import JointAxis, PoseResult
+from .npcs import PoseResult
 from .pipeline import InstancePrediction, run_scene_pipeline
 from .synthetic import (
     GenConfig,
+    InstanceRecord,
     export_ply,
     generate_object,
     load_scene,
+    record_from_dict,
+    record_to_dict,
     render_scene,
     save_scene,
 )
 
 PRED_SCHEMA_VERSION = 1
 
-GENERATE_DEFAULTS = {
-    "seed": None,
-    "count": 100,
-    "out": None,
-    "points": 4096,
-    "partial_view": False,
-    "objects_per_scene": 1,
-    "export_ply": False,
-    "jobs": 1,
+# Parameter tables: config key -> (type, default[, help]). A tuple type
+# lists the choices of a repeatable flag.
+OUT_PARAM = {"out": (str, None, "output directory")}
+
+GENERATE_PARAMS = {
+    **OUT_PARAM,
+    "seed": (int, None),
+    "count": (int, 100),
+    "points": (int, GenConfig.points_per_scene),
+    "partial_view": (bool, GenConfig.partial_view),
+    "objects_per_scene": (int, GenConfig.objects_per_scene),
+    "export_ply": (bool, False),
+    "jobs": (int, 1),
 }
 
-TRAIN_DEFAULTS = {
-    "seed": None,
-    "data": None,
-    "out": None,
-    "epochs": 40,
-    "learning_rate": 0.05,
-    "momentum": 0.9,
-    "batch_scenes": 8,
-    "hidden1": 64,
-    "hidden2": 128,
-    "k": 16,
-    "w_sem": 1.0,
-    "w_center": 1.0,
-    "w_npcs": 1.0,
-    "freeze": [],
+# GenConfig fields a generate config file may set (partial_view and
+# objects_per_scene also have flags).
+GEN_CONFIG_KEYS = frozenset(GenConfig.__dataclass_fields__) - {
+    "rng_seed",  # always --seed + scene index
+    "points_per_scene",  # always --points
 }
 
-INFER_DEFAULTS = {
-    "seed": 0,
-    "data": None,
-    "out": None,
-    "weights": None,
-    "oracle": False,
-    "offset_sigma": 0.0,
-    "npcs_sigma": 0.0,
-    "flip_prob": 0.0,
-    "bandwidth": 0.05,
-    "min_points": 30,
-    "inlier_threshold": 0.01,
-    "ransac_iterations": 128,
-    "min_inlier_fraction": 0.25,
-    "jobs": 1,
+TRAIN_PARAMS = {
+    **OUT_PARAM,
+    "seed": (int, None),
+    "data": (str, None, "directory of scene_*.json files"),
+    "epochs": (int, TrainConfig.epochs),
+    "learning_rate": (float, TrainConfig.learning_rate),
+    "momentum": (float, TrainConfig.momentum),
+    "batch_scenes": (int, TrainConfig.batch_scenes),
+    "hidden1": (int, DEFAULT_HIDDEN[0]),
+    "hidden2": (int, DEFAULT_HIDDEN[1]),
+    "k": (int, DEFAULT_K),
+    "w_sem": (float, TrainConfig.w_sem),
+    "w_center": (float, TrainConfig.w_center),
+    "w_npcs": (float, TrainConfig.w_npcs),
+    "freeze": (
+        ("sem", "center", "npcs"),
+        TrainConfig.freeze,
+        "freeze a head (repeatable); also pins the encoder",
+    ),
 }
 
-EVAL_DEFAULTS = {
-    "data": None,
-    "preds": None,
-    "out": None,
-    "weights": None,  # optional; fills the report's parameter count
+BACKEND_PARAMS = {
+    "bandwidth": (float, ClusterParams.bandwidth),
+    "min_points": (int, ClusterParams.min_points),
+    "inlier_threshold": (float, RansacParams.inlier_threshold),
+    "ransac_iterations": (int, RansacParams.max_iterations),
 }
 
-BENCH_DEFAULTS = {
-    "seed": 0,
-    "data": None,
-    "out": None,
-    "runs": 5,
-    "bandwidth": 0.05,
-    "min_points": 30,
-    "inlier_threshold": 0.01,
-    "ransac_iterations": 128,
+INFER_PARAMS = {
+    **OUT_PARAM,
+    "seed": (int, RansacParams.rng_seed),
+    "data": (str, None),
+    "weights": (str, None),
+    "oracle": (bool, False),
+    "offset_sigma": (float, OracleNoise.offset_sigma),
+    "npcs_sigma": (float, OracleNoise.npcs_sigma),
+    "flip_prob": (float, OracleNoise.semantic_flip_prob),
+    **BACKEND_PARAMS,
+    "min_inlier_fraction": (float, RansacParams.min_inlier_fraction),
+    "jobs": (int, 1),
+}
+
+EVAL_PARAMS = {
+    **OUT_PARAM,
+    "data": (str, None),
+    "preds": (str, None),
+    "weights": (str, None, "report the model's parameter count"),
+}
+
+BENCH_PARAMS = {
+    **OUT_PARAM,
+    "seed": (int, RansacParams.rng_seed),
+    "data": (str, None),
+    "runs": (int, 5),
+    **BACKEND_PARAMS,
 }
 
 
@@ -127,21 +151,22 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < config file < explicitly passed flags.
+def _resolve(args: argparse.Namespace, params: dict, config_only=frozenset()) -> dict:
+    """Table defaults < config file < explicitly passed flags.
 
     Every flag defaults to None, so None alone means "not passed"; a
     `--no-...` flag can switch off a `true` from the config file.
+    `config_only` names extra keys the config file may set.
     """
-    resolved = dict(defaults)
-    if getattr(args, "config", None):
+    resolved = {key: spec[1] for key, spec in params.items()}
+    if args.config:
         file_cfg = _load_config_file(args.config)
-        unknown = set(file_cfg) - set(defaults) - set(GenConfig.__dataclass_fields__)
+        unknown = set(file_cfg) - set(params) - config_only
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         resolved.update(file_cfg)
-    for key in defaults:
-        value = getattr(args, key, None)
+    for key in params:
+        value = getattr(args, key)
         if value is not None:
             resolved[key] = value
     return resolved
@@ -169,13 +194,11 @@ def _gen_config(resolved: dict, scene_seed: int) -> GenConfig:
     overrides = {
         name: tuple(value) if isinstance(value, list) else value
         for name, value in resolved.items()
-        if name in GenConfig.__dataclass_fields__
+        if name in GEN_CONFIG_KEYS
     }
-    overrides["rng_seed"] = scene_seed
-    overrides["points_per_scene"] = resolved["points"]
-    overrides["partial_view"] = bool(resolved["partial_view"])
-    overrides["objects_per_scene"] = resolved["objects_per_scene"]
-    return GenConfig(**overrides)
+    return GenConfig(
+        rng_seed=scene_seed, points_per_scene=resolved["points"], **overrides
+    )
 
 
 def _generate_one(task) -> dict:
@@ -191,7 +214,7 @@ def _generate_one(task) -> dict:
 
 
 def cmd_generate(args) -> int:
-    resolved = _resolve(args, GENERATE_DEFAULTS)
+    resolved = _resolve(args, GENERATE_PARAMS, GEN_CONFIG_KEYS)
     _require(resolved, "seed", "generate")
     if resolved["count"] < 1:
         raise ConfigError("count must be >= 1")
@@ -228,7 +251,7 @@ def _scene_paths(data_dir: str) -> list[Path]:
 
 
 def cmd_train(args) -> int:
-    resolved = _resolve(args, TRAIN_DEFAULTS)
+    resolved = _resolve(args, TRAIN_PARAMS)
     seed = _require(resolved, "seed", "train")
     data = _require(resolved, "data", "train")
     out = _prepare_out_dir(resolved, "train")
@@ -294,47 +317,27 @@ def _ransac_params(resolved: dict) -> RansacParams:
 
 def prediction_to_dict(pred: InstancePrediction) -> dict:
     result = pred.result
+    record = InstanceRecord(
+        pred.semantic_class, result.transform, result.size, result.axis
+    )
     return {
-        "class": pred.semantic_class,
-        "pose": {
-            "s": result.transform.scale,
-            "R": result.transform.rotation.reshape(-1).tolist(),
-            "t": result.transform.translation.tolist(),
-        },
-        "size": np.asarray(result.size).tolist(),
-        "axis": {
-            "origin": result.axis.origin.tolist(),
-            "dir": result.axis.direction.tolist(),
-            "kind": result.axis.kind,
-        },
+        **record_to_dict(record),
         "inliers": result.inliers,
         "point_indices": pred.point_indices.tolist(),
     }
 
 
 def prediction_from_dict(data: dict) -> InstancePrediction:
-    pose = Sim3Transform(
-        data["pose"]["s"],
-        np.array(data["pose"]["R"]).reshape(3, 3),
-        np.array(data["pose"]["t"]),
-    )
-    axis = JointAxis(
-        np.array(data["axis"]["origin"]),
-        np.array(data["axis"]["dir"]),
-        data["axis"]["kind"],
-    )
+    record = record_from_dict(data)
     return InstancePrediction(
-        semantic_class=int(data["class"]),
+        semantic_class=record.semantic_class,
         point_indices=np.array(data["point_indices"], dtype=np.int64),
-        result=PoseResult(pose, np.array(data["size"]), int(data["inliers"]), axis),
+        result=PoseResult(record.pose, record.size, int(data["inliers"]), record.axis),
     )
-
-
-_WEIGHTS_CACHE: dict[str, object] = {}
 
 
 def _infer_one(task) -> str:
-    resolved, scene_path, out = task
+    resolved, weights, scene_path, out = task
     scene = load_scene(scene_path)
     if resolved["oracle"]:
         noise = OracleNoise(
@@ -345,10 +348,7 @@ def _infer_one(task) -> str:
         )
         pred = oracle_predict(scene, noise)
     else:
-        key = resolved["weights"]
-        if key not in _WEIGHTS_CACHE:
-            _WEIGHTS_CACHE[key] = load_weights(key)
-        pred = forward(_WEIGHTS_CACHE[key], scene.points)
+        pred = forward(weights, scene.points)
 
     instances = run_scene_pipeline(
         scene.points, pred, _cluster_params(resolved), _ransac_params(resolved)
@@ -365,13 +365,15 @@ def _infer_one(task) -> str:
 
 
 def cmd_infer(args) -> int:
-    resolved = _resolve(args, INFER_DEFAULTS)
+    resolved = _resolve(args, INFER_PARAMS)
     data = _require(resolved, "data", "infer")
     if not resolved["oracle"] and resolved["weights"] is None:
         raise ConfigError("infer requires --weights or --oracle")
     out = _prepare_out_dir(resolved, "infer")
 
-    tasks = [(resolved, str(p), str(out)) for p in _scene_paths(data)]
+    paths = _scene_paths(data)
+    weights = None if resolved["oracle"] else load_weights(resolved["weights"])
+    tasks = [(resolved, weights, str(p), str(out)) for p in paths]
     if resolved["jobs"] > 1:
         with concurrent.futures.ProcessPoolExecutor(resolved["jobs"]) as pool:
             names = list(pool.map(_infer_one, tasks))
@@ -382,7 +384,7 @@ def cmd_infer(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    resolved = _resolve(args, EVAL_DEFAULTS)
+    resolved = _resolve(args, EVAL_PARAMS)
     data = _require(resolved, "data", "eval")
     preds_dir = _require(resolved, "preds", "eval")
     out = _prepare_out_dir(resolved, "eval")
@@ -414,7 +416,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    resolved = _resolve(args, BENCH_DEFAULTS)
+    resolved = _resolve(args, BENCH_PARAMS)
     data = _require(resolved, "data", "bench")
     out = _prepare_out_dir(resolved, "bench")
 
@@ -440,83 +442,35 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _add_flags(parser: argparse.ArgumentParser, params: dict) -> None:
+    parser.add_argument("--config", help="JSON config file; flags override it")
+    for key, (kind, _default, *help_) in params.items():
+        options = {"dest": key, "default": None, "help": help_[0] if help_ else None}
+        if kind is bool:
+            options["action"] = argparse.BooleanOptionalAction
+        elif isinstance(kind, tuple):
+            options.update(action="append", choices=kind)
+        else:
+            options["type"] = kind
+        parser.add_argument("--" + key.replace("_", "-"), **options)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="yoeo",
         description="Articulated-part pose estimation on synthetic scenes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--out", help="output directory")
-
-    gen = sub.add_parser("generate", help="write synthetic scenes + manifest")
-    common(gen)
-    gen.add_argument("--seed", type=int)
-    gen.add_argument("--count", type=int)
-    gen.add_argument("--points", type=int)
-    gen.add_argument("--partial-view", action=argparse.BooleanOptionalAction,
-                     default=None, dest="partial_view")
-    gen.add_argument("--objects-per-scene", type=int, dest="objects_per_scene")
-    gen.add_argument("--export-ply", action=argparse.BooleanOptionalAction,
-                     default=None, dest="export_ply")
-    gen.add_argument("--jobs", type=int)
-    gen.set_defaults(func=cmd_generate)
-
-    tr = sub.add_parser("train", help="train the point-wise predictor")
-    common(tr)
-    tr.add_argument("--seed", type=int)
-    tr.add_argument("--data", help="directory of scene_*.json files")
-    tr.add_argument("--epochs", type=int)
-    tr.add_argument("--learning-rate", type=float, dest="learning_rate")
-    tr.add_argument("--momentum", type=float)
-    tr.add_argument("--batch-scenes", type=int, dest="batch_scenes")
-    tr.add_argument("--hidden1", type=int)
-    tr.add_argument("--hidden2", type=int)
-    tr.add_argument("--k", type=int)
-    tr.add_argument("--w-sem", type=float, dest="w_sem")
-    tr.add_argument("--w-center", type=float, dest="w_center")
-    tr.add_argument("--w-npcs", type=float, dest="w_npcs")
-    tr.add_argument("--freeze", action="append", choices=["sem", "center", "npcs"],
-                    default=None, help="freeze a head (repeatable); also pins the encoder")
-    tr.set_defaults(func=cmd_train)
-
-    inf = sub.add_parser("infer", help="predict part poses for scenes")
-    common(inf)
-    inf.add_argument("--seed", type=int)
-    inf.add_argument("--data")
-    inf.add_argument("--weights")
-    inf.add_argument("--oracle", action=argparse.BooleanOptionalAction, default=None)
-    inf.add_argument("--offset-sigma", type=float, dest="offset_sigma")
-    inf.add_argument("--npcs-sigma", type=float, dest="npcs_sigma")
-    inf.add_argument("--flip-prob", type=float, dest="flip_prob")
-    inf.add_argument("--bandwidth", type=float)
-    inf.add_argument("--min-points", type=int, dest="min_points")
-    inf.add_argument("--inlier-threshold", type=float, dest="inlier_threshold")
-    inf.add_argument("--ransac-iterations", type=int, dest="ransac_iterations")
-    inf.add_argument("--min-inlier-fraction", type=float, dest="min_inlier_fraction")
-    inf.add_argument("--jobs", type=int)
-    inf.set_defaults(func=cmd_infer)
-
-    ev = sub.add_parser("eval", help="score predictions against ground truth")
-    common(ev)
-    ev.add_argument("--data")
-    ev.add_argument("--preds")
-    ev.add_argument("--weights", help="report the model's parameter count")
-    ev.set_defaults(func=cmd_eval)
-
-    be = sub.add_parser("bench", help="time the geometry back-end")
-    common(be)
-    be.add_argument("--seed", type=int)
-    be.add_argument("--data")
-    be.add_argument("--runs", type=int)
-    be.add_argument("--bandwidth", type=float)
-    be.add_argument("--min-points", type=int, dest="min_points")
-    be.add_argument("--inlier-threshold", type=float, dest="inlier_threshold")
-    be.add_argument("--ransac-iterations", type=int, dest="ransac_iterations")
-    be.set_defaults(func=cmd_bench)
-
+    for name, func, params, help_ in (
+        ("generate", cmd_generate, GENERATE_PARAMS, "write synthetic scenes + manifest"),
+        ("train", cmd_train, TRAIN_PARAMS, "train the point-wise predictor"),
+        ("infer", cmd_infer, INFER_PARAMS, "predict part poses for scenes"),
+        ("eval", cmd_eval, EVAL_PARAMS, "score predictions against ground truth"),
+        ("bench", cmd_bench, BENCH_PARAMS, "time the geometry back-end"),
+    ):
+        command = sub.add_parser(name, help=help_)
+        _add_flags(command, params)
+        command.set_defaults(func=func)
     return parser
 
 

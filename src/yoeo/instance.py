@@ -18,6 +18,7 @@ from scipy.spatial import cKDTree
 
 from .errors import EmptyScene
 from .npcs import decode_bins
+from .parts import BACKGROUND_CLASS
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,6 @@ class PerPointPrediction:
 class ClusterParams:
     bandwidth: float = 0.05
     min_points: int = 30
-    background_class: int = 0
 
     def __post_init__(self):
         if not self.bandwidth > 0.0:
@@ -132,7 +132,7 @@ def cluster_instances(
     votes = vote_centroids(p, pred)
     labels = pred.semantic_probs.argmax(axis=1)
 
-    foreground = np.flatnonzero(labels != params.background_class)
+    foreground = np.flatnonzero(labels != BACKGROUND_CLASS)
     if foreground.size == 0:
         raise EmptyScene("no non-background points to cluster")
 
@@ -143,26 +143,21 @@ def cluster_instances(
         [votes[foreground], labels[foreground] * (2.0 * params.bandwidth)]
     )
     comp = _connectivity_labels(keyed, params.bandwidth)
-    instances = []
-    for comp_id in np.flatnonzero(np.bincount(comp) >= params.min_points):
-        members = foreground[comp == comp_id]
-        instances.append(
-            PartInstance(
-                semantic_class=int(labels[members[0]]),
-                point_indices=members,
-                npcs_coords=None,  # filled below
-                voted_centroid=votes[members].mean(axis=0),
-            )
-        )
-    instances.sort(key=lambda inst: (inst.semantic_class, int(inst.point_indices[0])))
+    groups = sorted(
+        (
+            foreground[comp == comp_id]
+            for comp_id in np.flatnonzero(np.bincount(comp) >= params.min_points)
+        ),
+        key=lambda members: (labels[members[0]], members[0]),
+    )
     return [
         PartInstance(
-            inst.semantic_class,
-            inst.point_indices,
-            extract_npcs(inst, pred),
-            inst.voted_centroid,
+            semantic_class=int(labels[members[0]]),
+            point_indices=members,
+            npcs_coords=decode_bins(pred.npcs_logits[members].argmax(axis=2)),
+            voted_centroid=votes[members].mean(axis=0),
         )
-        for inst in instances
+        for members in groups
     ]
 
 
@@ -170,7 +165,8 @@ def extract_npcs(instance: PartInstance, pred: PerPointPrediction) -> np.ndarray
     """Decode canonical coordinates for an instance's member points.
 
     Per point and axis, the argmax bin of the logits (ties resolve to
-    the lower bin index) decoded to its bin center.
+    the lower bin index) decoded to its bin center, as cluster_instances
+    does for each instance it builds.
     """
     logits = pred.npcs_logits[instance.point_indices]
     return decode_bins(logits.argmax(axis=2))

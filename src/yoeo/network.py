@@ -32,6 +32,9 @@ _LAYER_NAMES = (
 
 _FLOOR = 1e-12  # probability floor before log()
 
+DEFAULT_HIDDEN = (64, 128)  # widths of the two shared encoder layers
+DEFAULT_K = 16  # neighbors in the k-NN feature
+
 
 @dataclass
 class ModelParams:
@@ -61,8 +64,8 @@ class ModelParams:
 
 def init_params(
     num_classes: int = 4,
-    hidden: tuple[int, int] = (64, 128),
-    k: int = 16,
+    hidden: tuple[int, int] = DEFAULT_HIDDEN,
+    k: int = DEFAULT_K,
     rng_seed: int = 0,
 ) -> ModelParams:
     """Gaussian init scaled by 1/sqrt(fan_in); biases start at zero."""

@@ -447,10 +447,47 @@ def gt_offsets(scene: Scene) -> np.ndarray:
     return offsets
 
 
-def scene_to_dict(scene: Scene) -> dict:
-    def vec(a):
-        return np.asarray(a, dtype=np.float64).reshape(-1).tolist()
+def _vec(a) -> list:
+    return np.asarray(a, dtype=np.float64).reshape(-1).tolist()
 
+
+def record_to_dict(record: InstanceRecord) -> dict:
+    """JSON form of one part: class, pose {s, R, t}, size, axis {origin,
+    dir, kind}. Scene files and prediction files both use it."""
+    return {
+        "class": record.semantic_class,
+        "pose": {
+            "s": record.pose.scale,
+            "R": _vec(record.pose.rotation),
+            "t": _vec(record.pose.translation),
+        },
+        "size": _vec(record.size),
+        "axis": {
+            "origin": _vec(record.axis.origin),
+            "dir": _vec(record.axis.direction),
+            "kind": record.axis.kind,
+        },
+    }
+
+
+def record_from_dict(data: dict) -> InstanceRecord:
+    return InstanceRecord(
+        semantic_class=int(data["class"]),
+        pose=Sim3Transform(
+            data["pose"]["s"],
+            np.array(data["pose"]["R"]).reshape(3, 3),
+            np.array(data["pose"]["t"]),
+        ),
+        size=np.array(data["size"]),
+        axis=JointAxis(
+            np.array(data["axis"]["origin"]),
+            np.array(data["axis"]["dir"]),
+            data["axis"]["kind"],
+        ),
+    )
+
+
+def scene_to_dict(scene: Scene) -> dict:
     return {
         "version": SCENE_SCHEMA_VERSION,
         "points": scene.points.tolist(),
@@ -459,26 +496,10 @@ def scene_to_dict(scene: Scene) -> dict:
         "gt_npcs": [
             None if np.isnan(row).any() else row.tolist() for row in scene.gt_npcs
         ],
-        "instances": [
-            {
-                "class": record.semantic_class,
-                "pose": {
-                    "s": record.pose.scale,
-                    "R": vec(record.pose.rotation),
-                    "t": vec(record.pose.translation),
-                },
-                "size": vec(record.size),
-                "axis": {
-                    "origin": vec(record.axis.origin),
-                    "dir": vec(record.axis.direction),
-                    "kind": record.axis.kind,
-                },
-            }
-            for record in scene.instances
-        ],
+        "instances": [record_to_dict(record) for record in scene.instances],
         "camera_pose": {
-            "R": vec(scene.camera_pose.rotation),
-            "t": vec(scene.camera_pose.translation),
+            "R": _vec(scene.camera_pose.rotation),
+            "t": _vec(scene.camera_pose.translation),
         },
     }
 
@@ -490,29 +511,12 @@ def scene_from_dict(data: dict) -> Scene:
         [[np.nan] * 3 if row is None else row for row in data["gt_npcs"]],
         dtype=np.float64,
     ).reshape(-1, 3)
-    instances = tuple(
-        InstanceRecord(
-            semantic_class=int(item["class"]),
-            pose=Sim3Transform(
-                item["pose"]["s"],
-                np.array(item["pose"]["R"]).reshape(3, 3),
-                np.array(item["pose"]["t"]),
-            ),
-            size=np.array(item["size"]),
-            axis=JointAxis(
-                np.array(item["axis"]["origin"]),
-                np.array(item["axis"]["dir"]),
-                item["axis"]["kind"],
-            ),
-        )
-        for item in data["instances"]
-    )
     return Scene(
         points=np.array(data["points"], dtype=np.float64).reshape(-1, 3),
         gt_semantic=np.array(data["gt_semantic"], dtype=np.int64),
         gt_instance=np.array(data["gt_instance"], dtype=np.int64),
         gt_npcs=npcs,
-        instances=instances,
+        instances=tuple(record_from_dict(item) for item in data["instances"]),
         camera_pose=Sim3Transform(
             1.0,
             np.array(data["camera_pose"]["R"]).reshape(3, 3),

@@ -1,5 +1,6 @@
 import json
 import numpy as np
+import pytest
 
 from yoeo.cli import main
 from yoeo.network import init_params, load_weights, save_weights
@@ -67,6 +68,26 @@ class TestGenerate:
         assert resolved["count"] == 2  # flag wins
         assert len(list(out.glob("scene_*.json"))) == 2
 
+    @pytest.mark.parametrize("key, value", [("points_per_scene", 1024), ("rng_seed", 77)])
+    def test_overwritten_gen_config_key_rejected(self, tmp_path, capsys, key, value):
+        # --points and --seed always set these, so a config value would be ignored.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code = run("generate", "--config", cfg, "--seed", 1, "--count", 1,
+                   "--out", tmp_path / "x")
+        assert code != 0
+        assert "unknown config fields" in capsys.readouterr().err
+
+    def test_gen_config_field_from_config_file(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"drawer_count": [2, 2]}))
+        out = generate(tmp_path, count=3, points=512, extra=("--config", cfg))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["drawer_count"] == [2, 2]
+        for scene in sorted(out.glob("scene_*.json")):
+            classes = [i["class"] for i in json.loads(scene.read_text())["instances"]]
+            assert classes.count(1) == 2
+
     def test_invalid_config_json_diagnostics(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{broken")
@@ -112,6 +133,14 @@ class TestTrain:
                    "--out", tmp_path / "m")
         assert code != 0
         assert capsys.readouterr().err.startswith("YOEO-E")
+
+    def test_gen_config_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"drawer_count": [2, 2]}))
+        code = run("train", "--config", cfg, "--seed", 1, "--data", tmp_path,
+                   "--out", tmp_path / "m")
+        assert code != 0
+        assert "unknown config fields" in capsys.readouterr().err
 
     def test_non_finite_data_aborts_with_error_code(self, tmp_path, capsys):
         data = generate(tmp_path, name="nandata", count=2, points=512)
@@ -171,6 +200,33 @@ class TestInfer:
                    "--out", tmp_path / "p")
         assert code != 0
         assert "YOEO-E18" in capsys.readouterr().err
+
+    def test_rewritten_weights_file_is_reloaded(self, tmp_path, capsys):
+        data = generate(tmp_path, count=1, points=512)
+        weights = tmp_path / "w.bin"
+        save_weights(init_params(hidden=(12, 16), k=8, rng_seed=7), weights)
+        assert run("infer", "--data", data, "--weights", weights,
+                   "--out", tmp_path / "p1") == 0
+        weights.write_bytes(b"XXXX" + b"\x00" * 64)
+        code = run("infer", "--data", data, "--weights", weights,
+                   "--out", tmp_path / "p2")
+        assert code != 0
+        assert "YOEO-E18" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["oracle", "weights"])
+    def test_parallel_jobs_match_sequential_output(self, tmp_path, mode):
+        data = generate(tmp_path, count=4, points=512)
+        weights = tmp_path / "w.bin"
+        save_weights(init_params(hidden=(12, 16), k=8, rng_seed=8), weights)
+        source = {"oracle": ("--oracle", "--offset-sigma", 0.003),
+                  "weights": ("--weights", weights)}[mode]
+        seq, par = tmp_path / "seq", tmp_path / "par"
+        assert run("infer", "--data", data, *source, "--out", seq) == 0
+        assert run("infer", "--data", data, *source, "--jobs", 2, "--out", par) == 0
+        files = sorted(p.name for p in seq.glob("pred_*.json"))
+        assert len(files) == 4
+        for name in files:
+            assert (seq / name).read_bytes() == (par / name).read_bytes(), name
 
     def test_requires_weights_or_oracle(self, tmp_path, capsys):
         data = generate(tmp_path, count=1)
@@ -281,3 +337,33 @@ class TestBench:
         code = run("bench", "--data", data, "--out", tmp_path / "b", "--runs", 1)
         assert code != 0
         assert "YOEO-E" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def roundtrip_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("roundtrip")
+    data = generate(root, count=10, points=512)
+    preds = root / "preds"
+    assert run("infer", "--data", data, "--oracle", "--out", preds) == 0
+    return data, preds
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "infer", "eval", "bench"])
+def test_resolved_config_round_trips(tmp_path, roundtrip_inputs, command):
+    data, preds = roundtrip_inputs
+    argv = {
+        "generate": ["--seed", 3, "--count", 2, "--points", 512, "--no-partial-view"],
+        "train": ["--seed", 2, "--data", data, "--epochs", 1, "--hidden1", 8,
+                  "--hidden2", 8, "--k", 4, "--freeze", "sem"],
+        "infer": ["--data", data, "--oracle", "--offset-sigma", 0.002,
+                  "--min-inlier-fraction", 0.3],
+        "eval": ["--data", data, "--preds", preds],
+        "bench": ["--data", data, "--runs", 1, "--bandwidth", 0.04],
+    }[command]
+    out = tmp_path / "run"
+    assert run(command, *argv, "--out", out) == 0
+    first = (out / "resolved_config.json").read_bytes()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(first)
+    assert run(command, "--config", cfg) == 0
+    assert (out / "resolved_config.json").read_bytes() == first
