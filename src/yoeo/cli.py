@@ -369,6 +369,8 @@ def cmd_infer(args) -> int:
     data = _require(resolved, "data", "infer")
     if not resolved["oracle"] and resolved["weights"] is None:
         raise ConfigError("infer requires --weights or --oracle")
+    if resolved["oracle"] and resolved["weights"] is not None:
+        raise ConfigError("infer takes --weights or --oracle, not both")
     out = _prepare_out_dir(resolved, "infer")
 
     paths = _scene_paths(data)

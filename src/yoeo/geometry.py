@@ -250,15 +250,30 @@ def ransac_align(
     """Robust SIM(3) alignment by random-sample consensus.
 
     Draws minimal samples, keeps the candidate with the largest inlier
-    set (residual strictly below `inlier_threshold`), then refits once on
-    that consensus set. Degenerate (collinear) samples are skipped
-    without consuming an iteration; the whole sample budget comes from
-    one seeded generator, so the run is bit-deterministic for a fixed
-    `rng_seed`. Candidates are evaluated in chunks with an early exit
-    once one explains every point, which keeps the clean-data path fast.
+    set (residual strictly below `inlier_threshold`; the first such
+    candidate wins ties), then refits once on that consensus set.
+    Degenerate (collinear) samples and samples with a repeated index are
+    skipped without consuming an iteration; the whole sample budget comes
+    from one seeded generator, so the run is bit-deterministic for a
+    fixed `rng_seed`.
+
+    Candidates are fitted and scored in chunks: a first chunk of 4, so
+    clean data exits as soon as one candidate explains every point, then
+    chunks of `max_iterations` samples. Scoring a chunk is one matrix
+    product. With x and y taken about their means and t' = t + s R mean(x)
+    - mean(y), the squared residual expands to
+
+        s^2 |x|^2 + |y|^2 + 2 s x.(R^T t') - 2 y.t' - 2 s vec(y x^T).vec(R)
+        + |t'|^2,
+
+    so per-point features [x, y, y (x) x, |x|^2, |y|^2] (computed once per
+    call) times per-candidate weights give every residual but |t'|^2,
+    which moves to the threshold side of the compare. Centering keeps the
+    rounding proportional to the spread of the points, not to their
+    distance from the origin.
 
     Returns (transform, inlier_mask) where the mask is evaluated against
-    the refit transform.
+    the refit transform from the direct residual.
     """
     x = np.asarray(src, dtype=np.float64).reshape(-1, 3)
     y = np.asarray(dst, dtype=np.float64).reshape(-1, 3)
@@ -273,6 +288,20 @@ def ransac_align(
     attempts = params.max_iterations * 4 + 16
     idx = rng.integers(0, n, size=(attempts, k))
 
+    mu_x = x.sum(axis=0) / n
+    mu_y = y.sum(axis=0) / n
+    xc = x - mu_x
+    yc = y - mu_y
+    features = np.column_stack(
+        [
+            xc,
+            yc,
+            (yc[:, :, None] * xc[:, None, :]).reshape(n, 9),
+            (xc * xc).sum(axis=1),
+            (yc * yc).sum(axis=1),
+        ]
+    )
+
     threshold_sq = params.inlier_threshold**2
     best_count = -1
     best_consensus = None
@@ -282,7 +311,7 @@ def ransac_align(
     while evaluated < params.max_iterations and consumed < attempts:
         rows = idx[consumed : consumed + chunk_size]
         consumed += chunk_size
-        chunk_size = 32
+        chunk_size = params.max_iterations
         ordered = np.sort(rows, axis=1)
         rows = rows[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)]
         s, r, t, ok = _umeyama_batch(x[rows], y[rows], with_scale)
@@ -294,14 +323,22 @@ def ransac_align(
             s, r, t = s[:keep], r[:keep], t[:keep]
         evaluated += len(s)
 
-        diff = (x[None, :, :] @ r.transpose(0, 2, 1)) * s[:, None, None] \
-            + t[:, None, :] - y[None, :, :]
-        residual_sq = (diff * diff).sum(axis=2)
-        counts = (residual_sq < threshold_sq).sum(axis=1)
+        t_c = t + s[:, None] * (r @ mu_x) - mu_y
+        weights = np.column_stack(
+            [
+                2.0 * s[:, None] * np.einsum("bji,bj->bi", r, t_c),
+                -2.0 * t_c,
+                -2.0 * s[:, None] * r.reshape(-1, 9),
+                s * s,
+                np.ones(len(s)),
+            ]
+        )
+        inliers = features @ weights.T < threshold_sq - (t_c * t_c).sum(axis=1)
+        counts = inliers.sum(axis=0)
         local_best = int(np.argmax(counts))
         if counts[local_best] > best_count:
             best_count = int(counts[local_best])
-            best_consensus = residual_sq[local_best] < threshold_sq
+            best_consensus = inliers[:, local_best]
         if best_count == n:
             break
 

@@ -154,19 +154,24 @@ def cluster_instances(
         PartInstance(
             semantic_class=int(labels[members[0]]),
             point_indices=members,
-            npcs_coords=decode_bins(pred.npcs_logits[members].argmax(axis=2)),
+            npcs_coords=_decode_members(members, pred),
             voted_centroid=votes[members].mean(axis=0),
         )
         for members in groups
     ]
 
 
-def extract_npcs(instance: PartInstance, pred: PerPointPrediction) -> np.ndarray:
-    """Decode canonical coordinates for an instance's member points.
+def _decode_members(point_indices: np.ndarray, pred: PerPointPrediction) -> np.ndarray:
+    """Decode canonical coordinates for the given member points.
 
     Per point and axis, the argmax bin of the logits (ties resolve to
-    the lower bin index) decoded to its bin center, as cluster_instances
-    does for each instance it builds.
+    the lower bin index) decoded to its bin center.
     """
-    logits = pred.npcs_logits[instance.point_indices]
-    return decode_bins(logits.argmax(axis=2))
+    return decode_bins(pred.npcs_logits[point_indices].argmax(axis=2))
+
+
+def extract_npcs(instance: PartInstance, pred: PerPointPrediction) -> np.ndarray:
+    """Decode canonical coordinates for an instance's member points, by
+    the rule cluster_instances applies to each instance it builds.
+    """
+    return _decode_members(instance.point_indices, pred)

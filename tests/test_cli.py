@@ -234,6 +234,23 @@ class TestInfer:
         assert code != 0
         assert "YOEO-E" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("via", ["flags", "config"])
+    def test_oracle_with_weights_rejected(self, tmp_path, capsys, via):
+        data = generate(tmp_path, count=1, points=512)
+        weights = tmp_path / "w.bin"
+        save_weights(init_params(hidden=(12, 16), k=8, rng_seed=6), weights)
+        out = tmp_path / "p"
+        if via == "flags":
+            code = run("infer", "--data", data, "--oracle", "--weights", weights,
+                       "--out", out)
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"oracle": True, "weights": str(weights)}))
+            code = run("infer", "--config", cfg, "--data", data, "--out", out)
+        assert code != 0
+        assert "YOEO-E2:" in capsys.readouterr().err
+        assert not list(out.glob("pred_*.json"))
+
     def test_trained_weights_produce_valid_json(self, tmp_path):
         data = generate(tmp_path, count=3, points=512)
         model = tmp_path / "model"

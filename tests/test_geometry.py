@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from yoeo.errors import DegenerateInput, NoConsensus
 from yoeo.geometry import (
     RansacParams,
+    _umeyama_batch,
     Sim3Transform,
     check_rotation,
     random_rotation,
@@ -106,7 +109,111 @@ class TestUmeyama:
             assert best <= res + 1e-12
 
 
+def reference_ransac(src, dst, params, with_scale=True):
+    """RANSAC scored the plain way, as a reference for ransac_align.
+
+    The same seeded draws and filters; every candidate is scored on its
+    own by its direct residual, the first one with the highest count wins,
+    and one refit follows. Returns (transform, mask, best_count), with
+    transform and mask None when the count is below the minimum fraction.
+    """
+    x = np.asarray(src, dtype=np.float64)
+    y = np.asarray(dst, dtype=np.float64)
+    n, k = len(x), params.min_sample_size
+    rng = np.random.default_rng(params.rng_seed)
+    idx = rng.integers(0, n, size=(params.max_iterations * 4 + 16, k))
+    idx = idx[[len(set(row)) == k for row in idx]]
+    s, r, t, ok = _umeyama_batch(x[idx], y[idx], with_scale)
+    candidates = list(zip(s[ok], r[ok], t[ok]))[: params.max_iterations]
+    threshold_sq = params.inlier_threshold**2
+    best_count, best_mask = -1, None
+    for scale, rotation, translation in candidates:
+        diff = scale * x @ rotation.T + translation - y
+        mask = (diff * diff).sum(axis=1) < threshold_sq
+        if mask.sum() > best_count:
+            best_count, best_mask = int(mask.sum()), mask
+    if best_count < params.min_inlier_fraction * n:
+        return None, None, best_count
+    transform = umeyama_align(x[best_mask], y[best_mask], with_scale=with_scale)
+    diff = y - transform.apply(x)
+    return transform, (diff * diff).sum(axis=1) < threshold_sq, best_count
+
+
+def ransac_data(kind, seed, with_scale=True, n=120):
+    """Correspondences of one kind: "clean", "outliers" (30% junk, 3 mm
+    noise on the rest), "noise" (no relation) or "offset" (outliers, both
+    sides 1e3 m from the origin)."""
+    rng = np.random.default_rng(seed)
+    truth = random_sim3(rng, scale_range=(0.5, 2.0) if with_scale else (1.0, 1.0))
+    src = rng.uniform(-0.3, 0.3, size=(n, 3))
+    if kind == "offset":
+        src += 1e3
+    dst = truth.apply(src)
+    if kind == "noise":
+        dst = rng.uniform(-0.3, 0.3, size=(n, 3))
+    elif kind != "clean":
+        dst += rng.normal(0.0, 0.003, size=(n, 3))
+        junk = rng.permutation(n)[: int(0.3 * n)]
+        dst[junk] += rng.uniform(-0.3, 0.3, size=(len(junk), 3))
+    return src, dst
+
+
+RANSAC_CASES = [
+    ("clean", {}, True),
+    ("clean", {"max_iterations": 1}, True),
+    ("outliers", {}, True),
+    ("outliers", {}, False),
+    ("outliers", {"min_sample_size": 3}, True),
+    ("outliers", {"min_sample_size": 6}, True),
+    ("outliers", {"max_iterations": 1}, True),
+    ("outliers", {"max_iterations": 7}, True),
+    ("outliers", {"max_iterations": 300}, True),
+    ("outliers", {"max_iterations": 7, "min_sample_size": 3}, False),
+    ("noise", {}, True),
+    ("noise", {"max_iterations": 300, "min_sample_size": 3}, True),
+    ("offset", {}, True),
+    ("offset", {"max_iterations": 300}, False),
+]
+
+
 class TestRansac:
+    @pytest.mark.parametrize("kind,overrides,with_scale", RANSAC_CASES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_direct_residual_reference(self, kind, overrides, with_scale, seed):
+        src, dst = ransac_data(kind, seed, with_scale)
+        params = RansacParams(rng_seed=seed, **overrides)
+        expected, expected_mask, best_count = reference_ransac(
+            src, dst, params, with_scale
+        )
+        if expected is None:
+            message = (
+                f"best inlier fraction {best_count / len(src):.3f} below "
+                f"{params.min_inlier_fraction}"
+            )
+            with pytest.raises(NoConsensus, match=f"^{re.escape(message)}$"):
+                ransac_align(src, dst, params, with_scale=with_scale)
+            return
+        transform, mask = ransac_align(src, dst, params, with_scale=with_scale)
+        assert transform.scale == expected.scale
+        assert np.array_equal(transform.rotation, expected.rotation)
+        assert np.array_equal(transform.translation, expected.translation)
+        assert np.array_equal(mask, expected_mask)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_no_consensus_reports_best_fraction(self, seed):
+        # The reported fraction is best count / n, which benchmark traces
+        # parse; a loose threshold keeps the best count well above zero.
+        src, dst = ransac_data("noise", seed)
+        params = RansacParams(
+            inlier_threshold=0.08, min_inlier_fraction=0.9, rng_seed=seed
+        )
+        _, _, best_count = reference_ransac(src, dst, params)
+        assert best_count > params.min_sample_size
+        with pytest.raises(NoConsensus) as info:
+            ransac_align(src, dst, params)
+        reported = re.search(r"best inlier fraction ([0-9.]+) below", str(info.value))
+        assert reported.group(1) == f"{best_count / len(src):.3f}"
+
     def test_outlier_free_recovery(self):
         rng = np.random.default_rng(21)
         truth = random_sim3(rng)
