@@ -6,6 +6,13 @@ neighbors); heads emit semantic logits, a centroid offset, and 3x100
 coordinate-bin logits. Gradients are hand-rolled reverse mode for this
 fixed architecture and the optimizer is plain momentum SGD, so training
 stays dependency-free and bit-deterministic for a fixed seed.
+
+Elementwise epilogues (bias adds, tanh, softmax, the loss gradients and
+the tanh slope) run in place on the array their matmul or subtraction
+has just returned, in the same IEEE operations and order as the plain
+expressions, so they save allocations without changing a bit. Every call
+returns fresh arrays, no buffer is kept between calls, and nothing is
+written into parameters or into arrays the caller passes in.
 """
 
 from __future__ import annotations
@@ -115,19 +122,36 @@ def point_features(points: np.ndarray, k: int) -> np.ndarray:
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
+
+
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w + b, with the bias added into the fresh matmul result."""
+    y = x @ w
+    y += b
+    return y
+
+
+def _tanh_slope(h: np.ndarray) -> np.ndarray:
+    """1 - h * h: the derivative of tanh at the layer whose output is h."""
+    slope = h * h
+    np.subtract(1.0, slope, out=slope)
+    return slope
 
 
 def _forward_cache(
     params: ModelParams, points: np.ndarray, features: np.ndarray | None = None
 ) -> dict:
     f = point_features(points, params.k) if features is None else features
-    h1 = np.tanh(f @ params.w1 + params.b1)
-    h2 = np.tanh(h1 @ params.w2 + params.b2)
-    sem_logits = h2 @ params.w_sem + params.b_sem
-    offsets = h2 @ params.w_off + params.b_off
-    npcs_logits = (h2 @ params.w_npcs + params.b_npcs).reshape(-1, 3, NUM_BINS)
+    h1 = _affine(f, params.w1, params.b1)
+    np.tanh(h1, out=h1)
+    h2 = _affine(h1, params.w2, params.b2)
+    np.tanh(h2, out=h2)
+    sem_logits = _affine(h2, params.w_sem, params.b_sem)
+    offsets = _affine(h2, params.w_off, params.b_off)
+    npcs_logits = _affine(h2, params.w_npcs, params.b_npcs).reshape(-1, 3, NUM_BINS)
     return {
         "f": f, "h1": h1, "h2": h2,
         "sem_logits": sem_logits, "offsets": offsets, "npcs_logits": npcs_logits,
@@ -229,16 +253,16 @@ def _center_grad(offsets, gt_offsets, mask):
 
 def _npcs_grad(npcs_logits, gt_bins, mask):
     n_all = npcs_logits.shape[0]
-    probs = _softmax(npcs_logits)
-    rows = np.arange(n_all)[:, None]
-    axes = np.arange(3)[None, :]
-    picked = probs[rows, axes, gt_bins]
+    dlogits = _softmax(npcs_logits)
+    true_bins = (np.arange(n_all)[:, None], np.arange(3)[None, :], gt_bins)
+    picked = dlogits[true_bins]
     m = int(mask.sum())
     loss = float(-np.log(np.maximum(picked[mask], _FLOOR)).mean())
 
-    onehot = np.zeros_like(probs)
-    onehot[rows, axes, gt_bins] = 1.0
-    dlogits = (probs - onehot) * mask[:, None, None] / (m * 3)
+    # (softmax - one-hot) * mask / (3m), written into the softmax.
+    dlogits[true_bins] -= 1.0
+    dlogits *= mask[:, None, None]
+    dlogits /= m * 3
     return loss, dlogits
 
 
@@ -335,15 +359,18 @@ def scene_gradients(
         d_off = np.zeros_like(cache["offsets"])
         d_npcs = np.zeros_like(cache["npcs_logits"])
 
-    d_sem = cfg.w_sem * d_sem
-    d_off = cfg.w_center * d_off
-    d_npcs_flat = (cfg.w_npcs * d_npcs).reshape(len(d_npcs), -1)
+    d_sem *= cfg.w_sem
+    d_off *= cfg.w_center
+    d_npcs *= cfg.w_npcs
+    d_npcs_flat = d_npcs.reshape(len(d_npcs), -1)
 
     h1, h2, f = cache["h1"], cache["h2"], cache["f"]
-    g_h2 = d_sem @ params.w_sem.T + d_off @ params.w_off.T + d_npcs_flat @ params.w_npcs.T
-    g_z2 = g_h2 * (1.0 - h2 * h2)
-    g_h1 = g_z2 @ params.w2.T
-    g_z1 = g_h1 * (1.0 - h1 * h1)
+    g_z2 = d_sem @ params.w_sem.T
+    g_z2 += d_off @ params.w_off.T
+    g_z2 += d_npcs_flat @ params.w_npcs.T
+    g_z2 *= _tanh_slope(h2)
+    g_z1 = g_z2 @ params.w2.T
+    g_z1 *= _tanh_slope(h1)
 
     grads = {
         "w1": f.T @ g_z1, "b1": g_z1.sum(axis=0),
@@ -510,10 +537,31 @@ def load_weights(path) -> ModelParams:
         offset += nbytes
 
     named = dict(zip(_LAYER_NAMES, matrices[:-1]))
+    _check_layout(named, matrices[-1])
     for name in ("b1", "b2", "b_sem", "b_off", "b_npcs"):
         named[name] = named[name].reshape(-1)
-    k = int(matrices[-1][0, 0])
-    params = ModelParams(k=k, **named)
-    if params.w1.shape[0] != 6 or params.w_npcs.shape[1] != 3 * NUM_BINS:
-        raise WeightFormatError("layer shapes do not match the architecture")
-    return params
+    return ModelParams(k=int(matrices[-1][0, 0]), **named)
+
+
+def _check_layout(named: dict, k_matrix: np.ndarray) -> None:
+    """Raise WeightFormatError unless the stored matrices chain into the
+    architecture: w1 (6, h1), w2 (h1, h2), heads (h2, c | 3 | 3 * NUM_BINS),
+    each bias a (1, width) row, every width >= 1 and k a 1x1 integer >= 1."""
+    h1, h2, c = named["w1"].shape[1], named["w2"].shape[1], named["w_sem"].shape[1]
+    expected = {
+        "w1": (6, h1), "b1": (1, h1), "w2": (h1, h2), "b2": (1, h2),
+        "w_sem": (h2, c), "b_sem": (1, c), "w_off": (h2, 3), "b_off": (1, 3),
+        "w_npcs": (h2, 3 * NUM_BINS), "b_npcs": (1, 3 * NUM_BINS),
+    }
+    for name, shape in expected.items():
+        if named[name].shape != shape:
+            raise WeightFormatError(
+                f"layer {name} has shape {named[name].shape}, expected {shape}"
+            )
+    if min(h1, h2, c) < 1:
+        raise WeightFormatError(f"layer widths must be >= 1, got {(h1, h2, c)}")
+    if k_matrix.shape != (1, 1):
+        raise WeightFormatError(f"k must be a 1x1 matrix, got {k_matrix.shape}")
+    k = k_matrix[0, 0]
+    if not (np.isfinite(k) and k == int(k) and k >= 1):
+        raise WeightFormatError(f"k must be an integer >= 1, got {k}")

@@ -201,6 +201,17 @@ class TestInfer:
         assert code != 0
         assert "YOEO-E18" in capsys.readouterr().err
 
+    def test_inconsistent_weights_layout_error(self, tmp_path, capsys):
+        data = generate(tmp_path, count=1, points=512)
+        params = init_params(hidden=(12, 16), k=8, rng_seed=9)
+        params.w2 = params.w2[:-1]
+        bad = tmp_path / "bad.bin"
+        save_weights(params, bad)
+        code = run("infer", "--data", data, "--weights", bad,
+                   "--out", tmp_path / "p")
+        assert code != 0
+        assert "YOEO-E18" in capsys.readouterr().err
+
     def test_rewritten_weights_file_is_reloaded(self, tmp_path, capsys):
         data = generate(tmp_path, count=1, points=512)
         weights = tmp_path / "w.bin"

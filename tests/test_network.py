@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import struct
 import types
 
 import numpy as np
@@ -6,10 +8,14 @@ import pytest
 
 from yoeo.errors import NonFiniteLoss, TooFewPoints, WeightFormatError, ZeroMask
 from yoeo.network import (
+    WEIGHTS_MAGIC,
+    WEIGHTS_VERSION,
     FocalLossParams,
     OracleNoise,
     TrainConfig,
     TrainSample,
+    _center_grad,
+    _semantic_grad,
     forward,
     init_params,
     load_weights,
@@ -20,9 +26,14 @@ from yoeo.network import (
     point_features,
     save_weights,
     scene_gradients,
+    scene_to_sample,
     train,
     trainable_arrays,
 )
+from yoeo.synthetic import GenConfig, generate_object, render_scene
+
+LAYER_NAMES = ("w1", "b1", "w2", "b2", "w_sem", "b_sem",
+               "w_off", "b_off", "w_npcs", "b_npcs")
 
 
 def micro_sample(rng, n=8, num_classes=4):
@@ -264,6 +275,150 @@ class TestGradients:
         assert worst < 1e-4
 
 
+def reference_softmax(logits):
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def reference_heads(params, f):
+    """The MLP written as plain expressions, one fresh array per step."""
+    h1 = np.tanh(f @ params.w1 + params.b1)
+    h2 = np.tanh(h1 @ params.w2 + params.b2)
+    return (
+        h1, h2,
+        h2 @ params.w_sem + params.b_sem,
+        h2 @ params.w_off + params.b_off,
+        (h2 @ params.w_npcs + params.b_npcs).reshape(-1, 3, 100),
+    )
+
+
+def reference_npcs_grad(logits, bins, mask):
+    probs = reference_softmax(logits)
+    rows, axes = np.arange(len(logits))[:, None], np.arange(3)[None, :]
+    m = int(mask.sum())
+    loss = float(-np.log(np.maximum(probs[rows, axes, bins][mask], 1e-12)).mean())
+    onehot = np.zeros_like(probs)
+    onehot[rows, axes, bins] = 1.0
+    return loss, (probs - onehot) * mask[:, None, None] / (m * 3)
+
+
+def reference_gradients(params, sample, cfg, f):
+    h1, h2, sem_logits, offsets, npcs_logits = reference_heads(params, f)
+    mask = sample.part_mask
+    sem_loss, d_sem = _semantic_grad(reference_softmax(sem_logits), sample.labels, cfg.focal)
+    if mask.any():
+        center_loss, d_off = _center_grad(offsets, sample.offsets, mask)
+        npcs_loss, d_npcs = reference_npcs_grad(npcs_logits, sample.bins, mask)
+    else:
+        center_loss, npcs_loss = 0.0, 0.0
+        d_off, d_npcs = np.zeros_like(offsets), np.zeros_like(npcs_logits)
+    d_sem = cfg.w_sem * d_sem
+    d_off = cfg.w_center * d_off
+    d_npcs_flat = (cfg.w_npcs * d_npcs).reshape(len(d_npcs), -1)
+    g_h2 = d_sem @ params.w_sem.T + d_off @ params.w_off.T + d_npcs_flat @ params.w_npcs.T
+    g_z2 = g_h2 * (1.0 - h2 * h2)
+    g_z1 = (g_z2 @ params.w2.T) * (1.0 - h1 * h1)
+    grads = {
+        "w1": f.T @ g_z1, "b1": g_z1.sum(axis=0),
+        "w2": h1.T @ g_z2, "b2": g_z2.sum(axis=0),
+        "w_sem": h2.T @ d_sem, "b_sem": d_sem.sum(axis=0),
+        "w_off": h2.T @ d_off, "b_off": d_off.sum(axis=0),
+        "w_npcs": h2.T @ d_npcs_flat, "b_npcs": d_npcs_flat.sum(axis=0),
+    }
+    losses = {
+        "total": cfg.w_sem * sem_loss + cfg.w_center * center_loss + cfg.w_npcs * npcs_loss,
+        "sem": sem_loss, "center": center_loss, "npcs": npcs_loss,
+    }
+    return losses, grads
+
+
+class TestInPlaceEpilogues:
+    """The in-place bias, tanh and softmax steps give the plain
+    expressions' bits and write into nothing the caller owns."""
+
+    C8 = GenConfig(points_per_scene=4096, drawer_count=(2, 2), lid_count=(1, 1),
+                   handle_count=(1, 1), body_extents_range=(0.45, 0.6))
+    CFG = TrainConfig(w_sem=0.7, w_center=1.3, w_npcs=0.9)
+
+    @pytest.fixture(scope="class")
+    def scenes(self):
+        out = []
+        for seed in (3, 4, 5):
+            cfg = dataclasses.replace(self.C8, rng_seed=seed)
+            out.append(render_scene(generate_object(seed, cfg), cfg))
+        return out
+
+    @staticmethod
+    def params():
+        params = init_params(rng_seed=6)
+        rng = np.random.default_rng(7)
+        for name in ("b1", "b2", "b_sem", "b_off", "b_npcs"):
+            getattr(params, name)[...] = rng.normal(0.0, 0.3, getattr(params, name).shape)
+        return params
+
+    @staticmethod
+    def background(sample):
+        return dataclasses.replace(sample, labels=np.zeros_like(sample.labels),
+                                   part_mask=np.zeros_like(sample.part_mask))
+
+    def test_forward_matches_plain_expressions(self, scenes):
+        params = self.params()
+        for scene in scenes:
+            pred = forward(params, scene.points)
+            _, _, sem_logits, offsets, npcs_logits = reference_heads(
+                params, point_features(scene.points, params.k))
+            assert np.array_equal(pred.semantic_probs, reference_softmax(sem_logits))
+            assert np.array_equal(pred.offsets, offsets)
+            assert np.array_equal(pred.npcs_logits, npcs_logits)
+
+    def test_gradients_match_plain_expressions(self, scenes):
+        params = self.params()
+        masked = scene_to_sample(scenes[0])
+        assert masked.part_mask.any()
+        features = point_features(masked.points, params.k)
+        for sample in (masked, self.background(masked)):
+            losses, grads = scene_gradients(params, sample, self.CFG, features)
+            ref_losses, ref_grads = reference_gradients(params, sample, self.CFG, features)
+            assert losses == ref_losses
+            assert grads.keys() == ref_grads.keys()
+            for name, grad in grads.items():
+                assert np.array_equal(grad, ref_grads[name]), name
+
+    def test_inputs_and_params_left_unchanged(self, scenes):
+        params = self.params()
+        before = params.copy()
+        sample = scene_to_sample(scenes[1])
+        features = point_features(sample.points, params.k)
+        inputs = [features, sample.points, sample.labels, sample.offsets,
+                  sample.bins, sample.part_mask]
+        snapshot = [a.copy() for a in inputs]
+
+        pred = forward(params, sample.points)
+        pred_arrays = [pred.semantic_probs, pred.offsets, pred.npcs_logits]
+        pred_snapshot = [a.copy() for a in pred_arrays]
+        for s in (sample, self.background(sample)):
+            scene_gradients(params, s, self.CFG, features)
+        scene_gradients(params, sample, self.CFG)
+        loss_semantic(pred.semantic_probs, sample.labels, FocalLossParams())
+        loss_center(pred.offsets, sample.offsets, sample.part_mask)
+        loss_npcs(pred.npcs_logits, sample.bins, sample.part_mask)
+
+        for name in LAYER_NAMES:
+            assert np.array_equal(getattr(params, name), getattr(before, name)), name
+        for a, b in zip(inputs + pred_arrays, snapshot + pred_snapshot):
+            assert np.array_equal(a, b)
+
+    def test_forward_returns_fresh_arrays(self, scenes):
+        params = self.params()
+        first = forward(params, scenes[2].points)
+        second = forward(params, scenes[2].points)
+        for a, b in ((first.semantic_probs, second.semantic_probs),
+                     (first.offsets, second.offsets),
+                     (first.npcs_logits, second.npcs_logits)):
+            assert not np.shares_memory(a, b)
+            assert np.array_equal(a, b)
+
+
 class TestTrain:
     def toy_dataset(self, rng, n_scenes=12, n_points=40):
         return [micro_sample(rng, n=n_points) for _ in range(n_scenes)]
@@ -357,6 +512,52 @@ class TestWeightsIO:
         save_weights(init_params(rng_seed=20), path)
         blob = path.read_bytes()[:-16]
         path.write_bytes(blob)
+        with pytest.raises(WeightFormatError):
+            load_weights(path)
+
+    @staticmethod
+    def write_matrices(path, matrices):
+        with open(path, "wb") as fh:
+            fh.write(WEIGHTS_MAGIC + struct.pack("<II", WEIGHTS_VERSION, len(matrices)))
+            for m in matrices:
+                fh.write(struct.pack("<II", *m.shape) + m.astype("<f8").tobytes())
+
+    @staticmethod
+    def stored_matrices(params):
+        return [np.atleast_2d(getattr(params, name)) for name in LAYER_NAMES] + [
+            np.array([[float(params.k)]])
+        ]
+
+    @pytest.mark.parametrize("layer, shape", [
+        ("w1", (5, 64)), ("b1", (1, 63)), ("b1", (2, 32)),
+        ("w2", (63, 128)), ("b2", (1, 127)),
+        ("w_sem", (127, 4)), ("b_sem", (1, 3)),
+        ("w_off", (128, 2)), ("b_off", (1, 4)),
+        ("w_npcs", (128, 299)), ("b_npcs", (1, 301)),
+        ("k", (1, 2)), ("k", (0, 0)),
+    ])
+    def test_inconsistent_layer_shape_rejected(self, tmp_path, layer, shape):
+        matrices = self.stored_matrices(init_params(rng_seed=21))
+        matrices[(LAYER_NAMES + ("k",)).index(layer)] = np.ones(shape)
+        path = tmp_path / "weights.bin"
+        self.write_matrices(path, matrices)
+        with pytest.raises(WeightFormatError):
+            load_weights(path)
+
+    def test_zero_width_layer_rejected(self, tmp_path):
+        params = init_params(num_classes=4, hidden=(8, 12), rng_seed=22)
+        params.w_sem, params.b_sem = np.zeros((12, 0)), np.zeros(0)
+        path = tmp_path / "weights.bin"
+        save_weights(params, path)
+        with pytest.raises(WeightFormatError):
+            load_weights(path)
+
+    @pytest.mark.parametrize("k", [0.0, -3.0, 2.5, float("nan"), float("inf")])
+    def test_bad_k_rejected(self, tmp_path, k):
+        matrices = self.stored_matrices(init_params(rng_seed=23))
+        matrices[-1] = np.array([[k]])
+        path = tmp_path / "weights.bin"
+        self.write_matrices(path, matrices)
         with pytest.raises(WeightFormatError):
             load_weights(path)
 
