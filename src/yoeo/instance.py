@@ -4,7 +4,7 @@ Points vote for their instance centroid (point + predicted offset);
 votes of one semantic class are grouped by single-linkage connectivity
 at a fixed bandwidth. Coincident votes are collapsed first, neighbor
 pairs within the bandwidth come from a cKDTree, and components are
-resolved with a sparse connected-components pass.
+resolved by a vectorized union-find over the pair array.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .errors import EmptyScene
@@ -98,6 +96,17 @@ def _connectivity_labels(votes: np.ndarray, bandwidth: float) -> np.ndarray:
     coincident votes (the oracle case) cost O(n log n) instead of O(n^2).
     The collapse is a lexicographic sort, which yields the same rows and
     inverse as np.unique(axis=0) at a small fraction of its cost.
+
+    Components come from a union-find over the cKDTree pair array. This
+    departs on purpose from using scipy where it does the job: for
+    connected_components the sparse matrix it needs (COO to CSR,
+    duplicate sum, index sort) cost more than the pair search.
+
+    Each round keeps the pairs whose roots differ, hooks the larger root
+    of each under the smaller (np.minimum.at, so roots only decrease),
+    then pointer-jumps until every node points at a root. It stops when
+    no pair joins two roots. A label is the smallest distinct-vote index
+    in its component, so labels are not 0..K-1.
     """
     order = np.lexsort(votes.T[::-1])
     ordered = votes[order]
@@ -106,15 +115,19 @@ def _connectivity_labels(votes: np.ndarray, bandwidth: float) -> np.ndarray:
     inverse = np.empty(len(ordered), dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
     unique = ordered[first]
-    m = unique.shape[0]
     pairs = cKDTree(unique).query_pairs(bandwidth, output_type="ndarray")
-    if pairs.size == 0:  # no links: every distinct vote is its own component
-        return inverse
-    graph = coo_matrix(
-        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(m, m)
-    )
-    _, labels = connected_components(graph, directed=False)
-    return labels[inverse]
+    root = np.arange(unique.shape[0])
+    a, b = pairs[:, 0], pairs[:, 1]
+    while True:
+        ra, rb = root[a], root[b]
+        differ = ra != rb
+        if not differ.any():
+            return root[inverse]
+        a, b, ra, rb = a[differ], b[differ], ra[differ], rb[differ]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        jumped = root[root]
+        while not np.array_equal(jumped, root):
+            root, jumped = jumped, jumped[jumped]
 
 
 def cluster_instances(

@@ -508,11 +508,14 @@ def save_weights(params: ModelParams, path) -> None:
 
 
 def load_weights(path) -> ModelParams:
-    """Inverse of save_weights; rejects bad magic/version/layout."""
+    """Inverse of save_weights; rejects bad magic/version/layout, a
+    truncated file, bytes after the last matrix and non-finite weights."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != WEIGHTS_MAGIC:
         raise WeightFormatError(f"bad magic {blob[:4]!r}")
+    if len(blob) < 12:
+        raise WeightFormatError("truncated weights file")
     version, count = struct.unpack_from("<II", blob, 4)
     if version != WEIGHTS_VERSION:
         raise WeightFormatError(f"unsupported weights version {version}")
@@ -535,9 +538,16 @@ def load_weights(path) -> ModelParams:
             .astype(np.float64)
         )
         offset += nbytes
+    if offset != len(blob):
+        raise WeightFormatError(
+            f"{len(blob) - offset} trailing bytes after the last matrix"
+        )
 
     named = dict(zip(_LAYER_NAMES, matrices[:-1]))
     _check_layout(named, matrices[-1])
+    for name, arr in named.items():
+        if not np.isfinite(arr).all():
+            raise WeightFormatError(f"layer {name} holds non-finite weights")
     for name in ("b1", "b2", "b_sem", "b_off", "b_npcs"):
         named[name] = named[name].reshape(-1)
     return ModelParams(k=int(matrices[-1][0, 0]), **named)

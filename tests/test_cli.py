@@ -201,6 +201,16 @@ class TestInfer:
         assert code != 0
         assert "YOEO-E18" in capsys.readouterr().err
 
+    def test_truncated_weights_header_error(self, tmp_path, capsys):
+        data = generate(tmp_path, count=1, points=512)
+        bad = tmp_path / "bad.bin"
+        save_weights(init_params(hidden=(12, 16), k=8, rng_seed=10), bad)
+        bad.write_bytes(bad.read_bytes()[:8])
+        code = run("infer", "--data", data, "--weights", bad,
+                   "--out", tmp_path / "p")
+        assert code != 0
+        assert "YOEO-E18" in capsys.readouterr().err
+
     def test_inconsistent_weights_layout_error(self, tmp_path, capsys):
         data = generate(tmp_path, count=1, points=512)
         params = init_params(hidden=(12, 16), k=8, rng_seed=9)

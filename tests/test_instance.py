@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
+import yoeo.instance
 from yoeo.errors import EmptyScene
 from yoeo.instance import (
     ClusterParams,
@@ -13,6 +15,8 @@ from yoeo.instance import (
     extract_npcs,
     vote_centroids,
 )
+from yoeo.network import OracleNoise, forward, init_params, oracle_predict
+from yoeo.synthetic import GenConfig, generate_object, render_scene
 
 
 def one_hot(labels, num_classes):
@@ -221,6 +225,37 @@ def brute_force_single_linkage(votes, bandwidth):
     return labels
 
 
+def sparse_graph_labels(votes, bandwidth):
+    """Component labels the way clustering found them before the union-find:
+    the same vote collapse and pair search, then a COO matrix and scipy's
+    connected_components."""
+    order = np.lexsort(votes.T[::-1])
+    ordered = votes[order]
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(ordered), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    unique = ordered[first]
+    m = unique.shape[0]
+    pairs = cKDTree(unique).query_pairs(bandwidth, output_type="ndarray")
+    if pairs.size == 0:
+        return inverse
+    graph = coo_matrix(
+        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(m, m)
+    )
+    _, labels = connected_components(graph, directed=False)
+    return labels[inverse]
+
+
+def c8_scene(seed):
+    cfg = GenConfig(
+        rng_seed=seed, points_per_scene=4096,
+        drawer_count=(2, 2), lid_count=(1, 1), handle_count=(1, 1),
+        body_extents_range=(0.45, 0.6),
+    )
+    return render_scene(generate_object(seed, cfg), cfg)
+
+
 class TestConnectivity:
     def test_random_votes_match_brute_force(self):
         rng = np.random.default_rng(30)
@@ -244,6 +279,103 @@ class TestConnectivity:
         assert partition(got) == partition(brute_force_single_linkage(votes, bandwidth))
         assert len(np.unique(got[:25])) == 1
         assert len(np.unique(got[25:])) == 5
+
+    # Graph shapes that stress the union-find's hooking and pointer
+    # jumping, each checked against the brute-force reference.
+
+    bandwidth = 0.05
+
+    def check(self, votes):
+        got = _connectivity_labels(votes, self.bandwidth)
+        assert partition(got) == partition(
+            brute_force_single_linkage(votes, self.bandwidth)
+        )
+        return got
+
+    def test_shuffled_long_chain(self):
+        n = 2000
+        step = self.bandwidth * (1.0 - 1e-9)
+        chain = np.zeros((n, 3))
+        chain[:, 0] = np.arange(n) * step
+        rotation = np.linalg.qr(np.random.default_rng(32).normal(size=(3, 3)))[0]
+        votes = (chain @ rotation.T)[np.random.default_rng(33).permutation(n)]
+        assert len(np.unique(self.check(votes))) == 1
+
+    def test_planar_votes_near_percolation(self):
+        # Sparse, branching components: one round's hooks leave trees
+        # deeper than a single pointer jump can flatten.
+        rng = np.random.default_rng(36)
+        for _ in range(100):
+            votes = np.zeros((400, 3))
+            votes[:, :2] = rng.uniform(0.0, 1.0, size=(400, 2))
+            self.check(votes)
+
+    def test_star_with_centre_as_largest_node(self):
+        # Leaves sit along orthogonal axes, so each links to the centre and
+        # to no other leaf; each leaf is smaller than the centre in one
+        # coordinate, so the centre sorts last among the distinct votes.
+        dims = 64
+        centre = np.full(dims, 1.0)
+        leaves = centre - 0.9 * self.bandwidth * np.eye(dims)
+        votes = np.vstack([centre, leaves])
+        assert np.lexsort(votes.T[::-1])[-1] == 0
+        assert len(np.unique(self.check(votes))) == 1
+
+    def test_many_singletons(self):
+        spacing = self.bandwidth * (1.0 + 1e-9)
+        grid = np.stack(
+            np.meshgrid(*[np.arange(10) * spacing] * 3, indexing="ij"), axis=-1
+        ).reshape(-1, 3)
+        votes = grid[np.random.default_rng(34).permutation(len(grid))]
+        assert len(np.unique(self.check(votes))) == len(votes)
+
+    def test_all_coincident_votes(self):
+        votes = np.tile([[0.3, -0.2, 0.7]], (500, 1))
+        assert len(np.unique(self.check(votes))) == 1
+
+    def test_pair_at_exactly_the_bandwidth_links(self):
+        votes = np.array([[0.0, 0.0, 0.0], [self.bandwidth, 0.0, 0.0]])
+        assert len(np.unique(self.check(votes))) == 1
+
+    def test_keyed_classes_with_coincident_votes_stay_apart(self):
+        rng = np.random.default_rng(35)
+        points = np.vstack([blob(rng, np.zeros(3), 40)] * 2)
+        labels = np.repeat([1, 2], 40)
+        keyed = np.column_stack([points, labels * (2.0 * self.bandwidth)])
+        assert len(np.unique(self.check(keyed))) == 2
+        instances = cluster_instances(
+            points, make_prediction(points, labels), ClusterParams(min_points=10)
+        )
+        assert [i.semantic_class for i in instances] == [1, 2]
+        assert [i.point_indices.tolist() for i in instances] == [
+            list(range(40)), list(range(40, 80))
+        ]
+
+    # cluster_instances gives the same memberships, in the same order, as
+    # with the sparse connected-components labelling it replaced.
+
+    @staticmethod
+    def assert_same_instances(monkeypatch, points, pred):
+        got = cluster_instances(points, pred)
+        with monkeypatch.context() as patch:
+            patch.setattr(yoeo.instance, "_connectivity_labels", sparse_graph_labels)
+            want = cluster_instances(points, pred)
+        assert [(i.semantic_class, i.point_indices.tolist()) for i in got] == [
+            (i.semantic_class, i.point_indices.tolist()) for i in want
+        ]
+        return len(got)
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_noisy_oracle_c8(self, monkeypatch, seed):
+        scene = c8_scene(seed)
+        pred = oracle_predict(scene, OracleNoise(0.005, 0.01, rng_seed=seed))
+        assert self.assert_same_instances(monkeypatch, scene.points, pred) > 0
+
+    @pytest.mark.parametrize("seed", [6, 7])
+    def test_untrained_net_c8(self, monkeypatch, seed):
+        scene = c8_scene(seed)
+        pred = forward(init_params(rng_seed=0), scene.points)
+        self.assert_same_instances(monkeypatch, scene.points, pred)
 
 
 class TestExtractNpcs:

@@ -515,6 +515,32 @@ class TestWeightsIO:
         with pytest.raises(WeightFormatError):
             load_weights(path)
 
+    @pytest.mark.parametrize("size", [4, 5, 8, 11])
+    def test_header_shorter_than_twelve_bytes_rejected(self, tmp_path, size):
+        path = tmp_path / "weights.bin"
+        save_weights(init_params(rng_seed=24), path)
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(WeightFormatError, match="truncated"):
+            load_weights(path)
+
+    @pytest.mark.parametrize("extra", [b"\x00", b"junk" * 7 + b"!"])
+    def test_trailing_bytes_rejected(self, tmp_path, extra):
+        path = tmp_path / "weights.bin"
+        save_weights(init_params(rng_seed=25), path)
+        path.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(WeightFormatError, match="trailing"):
+            load_weights(path)
+
+    @pytest.mark.parametrize("layer", ["w1", "b2", "w_off", "b_npcs"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight_rejected(self, tmp_path, layer, value):
+        params = init_params(hidden=(8, 12), rng_seed=26)
+        getattr(params, layer).flat[-1] = value
+        path = tmp_path / "weights.bin"
+        save_weights(params, path)
+        with pytest.raises(WeightFormatError, match=layer):
+            load_weights(path)
+
     @staticmethod
     def write_matrices(path, matrices):
         with open(path, "wb") as fh:
