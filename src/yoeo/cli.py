@@ -359,8 +359,8 @@ def _infer_one(task) -> str:
         "scene": Path(scene_path).name,
         "instances": [prediction_to_dict(p) for p in instances],
     }
-    with open(Path(out) / name, "w") as fh:
-        json.dump(payload, fh)
+    # dumps, not dump: the C encoder, same bytes (see synthetic.save_scene).
+    (Path(out) / name).write_text(json.dumps(payload))
     return name
 
 

@@ -59,3 +59,9 @@ class WeightFormatError(YoeoError):
     """Weights file has a bad magic, version, or layer layout."""
 
     code = 18
+
+
+class SceneFormatError(YoeoError, ValueError):
+    """Scene file with an unknown version or arrays of the wrong shape."""
+
+    code = 19

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpec
+from .errors import DegenerateSpec, SceneFormatError
 from .geometry import Sim3Transform, rotation_about_axis
 from .npcs import JointAxis, canonicalize_part, transform_axis
 from .parts import (
@@ -494,7 +494,10 @@ def scene_to_dict(scene: Scene) -> dict:
         "gt_semantic": scene.gt_semantic.tolist(),
         "gt_instance": scene.gt_instance.tolist(),
         "gt_npcs": [
-            None if np.isnan(row).any() else row.tolist() for row in scene.gt_npcs
+            None if background else row
+            for row, background in zip(
+                scene.gt_npcs.tolist(), np.isnan(scene.gt_npcs).any(axis=1).tolist()
+            )
         ],
         "instances": [record_to_dict(record) for record in scene.instances],
         "camera_pose": {
@@ -504,17 +507,49 @@ def scene_to_dict(scene: Scene) -> dict:
     }
 
 
+def _as_array(values, dtype, what: str) -> np.ndarray:
+    try:
+        return np.array(values, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise SceneFormatError(f"{what}: {exc}") from exc
+
+
+def _float_rows(rows, what: str) -> np.ndarray:
+    """`rows` as an (n, 3) float64 array; an empty list gives (0, 3)."""
+    array = _as_array(rows, np.float64, what)
+    if array.shape == (0,):
+        return array.reshape(0, 3)
+    if array.ndim != 2 or array.shape[1] != 3:
+        raise SceneFormatError(
+            f"{what} must be rows of 3 numbers, got shape {array.shape}"
+        )
+    return array
+
+
+def _labels(values, n: int, what: str) -> np.ndarray:
+    array = _as_array(values, np.int64, what)
+    if array.shape != (n,):
+        raise SceneFormatError(f"{what} has shape {array.shape}, expected ({n},)")
+    return array
+
+
 def scene_from_dict(data: dict) -> Scene:
+    """Inverse of `scene_to_dict`; raises SceneFormatError for an unknown
+    version or arrays whose shapes disagree with the point count."""
     if data.get("version") != SCENE_SCHEMA_VERSION:
-        raise ValueError(f"unsupported scene version {data.get('version')}")
-    npcs = np.array(
-        [[np.nan] * 3 if row is None else row for row in data["gt_npcs"]],
-        dtype=np.float64,
-    ).reshape(-1, 3)
+        raise SceneFormatError(f"unsupported scene version {data.get('version')}")
+    points = _float_rows(data["points"], "points")
+    n = len(points)
+    rows = data["gt_npcs"]
+    if len(rows) != n:
+        raise SceneFormatError(f"gt_npcs has {len(rows)} rows, expected {n}")
+    labelled = np.array([row is not None for row in rows], dtype=bool)
+    npcs = np.full((n, 3), np.nan)
+    npcs[labelled] = _float_rows([row for row in rows if row is not None], "gt_npcs")
     return Scene(
-        points=np.array(data["points"], dtype=np.float64).reshape(-1, 3),
-        gt_semantic=np.array(data["gt_semantic"], dtype=np.int64),
-        gt_instance=np.array(data["gt_instance"], dtype=np.int64),
+        points=points,
+        gt_semantic=_labels(data["gt_semantic"], n, "gt_semantic"),
+        gt_instance=_labels(data["gt_instance"], n, "gt_instance"),
         gt_npcs=npcs,
         instances=tuple(record_from_dict(item) for item in data["instances"]),
         camera_pose=Sim3Transform(
@@ -526,8 +561,10 @@ def scene_from_dict(data: dict) -> Scene:
 
 
 def save_scene(scene: Scene, path) -> None:
+    # json.dumps encodes in C; json.dump would stream through the
+    # pure-Python encoder. Both write the same bytes.
     with open(path, "w") as fh:
-        json.dump(scene_to_dict(scene), fh)
+        fh.write(json.dumps(scene_to_dict(scene)))
 
 
 def load_scene(path) -> Scene:

@@ -1,9 +1,18 @@
+import io
 import json
 import numpy as np
 import pytest
 
-from yoeo.cli import main
-from yoeo.network import init_params, load_weights, save_weights
+from yoeo.cli import PRED_SCHEMA_VERSION, main, prediction_to_dict
+from yoeo.network import (
+    OracleNoise,
+    init_params,
+    load_weights,
+    oracle_predict,
+    save_weights,
+)
+from yoeo.pipeline import run_scene_pipeline
+from yoeo.synthetic import load_scene
 
 
 def run(*argv):
@@ -191,6 +200,43 @@ class TestInfer:
             outs.append(out)
         for f in sorted(outs[0].glob("pred_*.json")):
             assert f.read_bytes() == (outs[1] / f.name).read_bytes()
+
+    def test_prediction_file_matches_streamed_json(self, tmp_path):
+        data = generate(tmp_path, count=3)
+        out = tmp_path / "preds"
+        assert run("infer", "--data", data, "--oracle", "--out", out) == 0
+        for scene_path in sorted(data.glob("scene_*.json")):
+            scene = load_scene(scene_path)
+            pred = oracle_predict(scene, OracleNoise())
+            instances = run_scene_pipeline(scene.points, pred)
+            assert instances
+            payload = {
+                "version": PRED_SCHEMA_VERSION,
+                "scene": scene_path.name,
+                "instances": [prediction_to_dict(p) for p in instances],
+            }
+            streamed = io.StringIO()
+            json.dump(payload, streamed)
+            written = (out / scene_path.name.replace("scene_", "pred_")).read_text()
+            assert written == json.dumps(payload) == streamed.getvalue()
+
+    @pytest.mark.parametrize(
+        "key, reshape",
+        [
+            ("points", lambda rows: np.reshape(rows, (-1, 4)).tolist()),
+            ("gt_npcs", lambda rows: rows[:-1]),
+            ("gt_semantic", lambda rows: rows + [0]),
+        ],
+    )
+    def test_malformed_scene_file_error(self, tmp_path, capsys, key, reshape):
+        data = generate(tmp_path, count=1)
+        path = data / "scene_00000.json"
+        scene = json.loads(path.read_text())
+        scene[key] = reshape(scene[key])
+        path.write_text(json.dumps(scene))
+        code = run("infer", "--data", data, "--oracle", "--out", tmp_path / "p")
+        assert code == 1
+        assert "YOEO-E19" in capsys.readouterr().err
 
     def test_corrupt_weights_magic_error(self, tmp_path, capsys):
         data = generate(tmp_path, count=1)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from yoeo.errors import DegenerateSpec
+from yoeo.errors import DegenerateSpec, SceneFormatError
 from yoeo.geometry import RansacParams, rotation_geodesic_deg
 from yoeo.npcs import recover_pose, transform_axis
 from yoeo.parts import CLASS_TO_KIND, KIND_TO_CLASS, canonical_joint_axis
@@ -21,7 +21,11 @@ from yoeo.synthetic import (
     render_scene,
     save_scene,
     scene_from_dict,
+    scene_to_dict,
 )
+
+C8_FAMILY = dict(points_per_scene=4096, drawer_count=(2, 2), lid_count=(1, 1),
+                 handle_count=(1, 1), body_extents_range=(0.45, 0.6))
 
 
 def spec_fingerprint(spec):
@@ -229,6 +233,52 @@ class TestGtOffsets:
             assert np.abs(offsets[mask].mean(axis=0)).max() < 1e-9
 
 
+def streamed_scene_bytes(scene, path):
+    """Scene file as the row-by-row dict through `json.dump`, which streams
+    the text through the pure-Python encoder."""
+    def vec(a):
+        return np.asarray(a, dtype=np.float64).reshape(-1).tolist()
+
+    data = {
+        "version": 1,
+        "points": scene.points.tolist(),
+        "gt_semantic": scene.gt_semantic.tolist(),
+        "gt_instance": scene.gt_instance.tolist(),
+        "gt_npcs": [
+            None if np.isnan(row).any() else row.tolist() for row in scene.gt_npcs
+        ],
+        "instances": [
+            {
+                "class": r.semantic_class,
+                "pose": {"s": r.pose.scale, "R": vec(r.pose.rotation),
+                         "t": vec(r.pose.translation)},
+                "size": vec(r.size),
+                "axis": {"origin": vec(r.axis.origin), "dir": vec(r.axis.direction),
+                         "kind": r.axis.kind},
+            }
+            for r in scene.instances
+        ],
+        "camera_pose": {"R": vec(scene.camera_pose.rotation),
+                        "t": vec(scene.camera_pose.translation)},
+    }
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    return path.read_bytes()
+
+
+def tiny_scene_dict():
+    """A valid 3-point scene dict: one background point, two part points."""
+    return {
+        "version": 1,
+        "points": [[0.0, 0.0, 1.0], [0.1, 0.0, 1.0], [0.0, 0.1, 1.0]],
+        "gt_semantic": [0, 1, 1],
+        "gt_instance": [-1, 0, 0],
+        "gt_npcs": [None, [0.5, 0.25, 0.0], [0.25, 0.5, 1.0]],
+        "instances": [],
+        "camera_pose": {"R": np.eye(3).reshape(-1).tolist(), "t": [0.0, 0.0, 0.0]},
+    }
+
+
 class TestSceneIO:
     def test_json_roundtrip(self, tmp_path):
         cfg = GenConfig(rng_seed=15, points_per_scene=768)
@@ -245,11 +295,84 @@ class TestSceneIO:
             assert a.semantic_class == b.semantic_class
             assert a.pose.scale == b.pose.scale
             assert (a.pose.rotation == b.pose.rotation).all()
+            assert (a.pose.translation == b.pose.translation).all()
             assert (a.size == b.size).all()
+            assert (a.axis.origin == b.axis.origin).all()
+            assert (a.axis.direction == b.axis.direction).all()
+            assert a.axis.kind == b.axis.kind
+        assert (loaded.camera_pose.rotation == scene.camera_pose.rotation).all()
+        assert (loaded.camera_pose.translation == scene.camera_pose.translation).all()
+        assert loaded.camera_pose.scale == scene.camera_pose.scale
+
+    @pytest.mark.parametrize(
+        "seed, config",
+        [(s, C8_FAMILY) for s in (101, 102, 103)]
+        + [(s, {}) for s in (201, 202, 203)]
+        + [(301, {"partial_view": True, "objects_per_scene": 2})],
+    )
+    def test_file_bytes_match_streaming_writer(self, tmp_path, seed, config):
+        cfg = GenConfig(rng_seed=seed, **config)
+        scene = render_scene(generate_object(seed, cfg), cfg)
+        path = tmp_path / "scene.json"
+        save_scene(scene, path)
+        assert path.read_bytes() == streamed_scene_bytes(scene, tmp_path / "ref.json")
+
+    def test_all_background_npcs(self):
+        data = tiny_scene_dict()
+        data["gt_npcs"] = [None, None, None]
+        scene = scene_from_dict(data)
+        assert scene.gt_npcs.shape == (3, 3)
+        assert np.isnan(scene.gt_npcs).all()
+
+    def test_npcs_without_background(self):
+        data = tiny_scene_dict()
+        data["gt_npcs"] = [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]]
+        scene = scene_from_dict(data)
+        assert scene.gt_npcs.tolist() == data["gt_npcs"]
+
+    def test_zero_point_scene(self):
+        data = tiny_scene_dict()
+        for key in ("points", "gt_semantic", "gt_instance", "gt_npcs"):
+            data[key] = []
+        scene = scene_from_dict(data)
+        assert scene.points.shape == (0, 3)
+        assert scene.gt_npcs.shape == (0, 3)
+        assert scene.gt_semantic.shape == (0,)
+        assert scene.gt_instance.shape == (0,)
+        assert scene_to_dict(scene) == data
 
     def test_rejects_unknown_version(self):
         with pytest.raises(ValueError):
             scene_from_dict({"version": 999})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("version", 2),
+            # 24 numbers; a reshape to rows of 3 would accept them as (8, 3).
+            ("points", [[0.1, 0.2, 0.3, 0.4]] * 6),
+            ("points", [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]),
+            ("points", [[0.1, 0.2, 0.3], [0.4, 0.5], [0.6, 0.7, 0.8]]),
+            ("points", [[0.1, 0.2, 0.3]] * 4),
+            ("points", [0.1, 0.2, 0.3]),
+            ("gt_semantic", [0, 1]),
+            ("gt_semantic", [[0], [1], [1]]),
+            ("gt_instance", [-1, 0, 0, 0]),
+            ("gt_npcs", [None, [0.1, 0.2, 0.3]]),
+            # 6 numbers; a reshape to rows of 3 would accept them as (2, 3).
+            ("gt_npcs", [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]),
+            ("gt_npcs", [None, [0.1, 0.2], [0.3, 0.4, 0.5]]),
+            ("gt_npcs", [None, [0.1, 0.2, 0.3, 0.4], [0.5, 0.6, 0.7, 0.8]]),
+            ("gt_npcs", [None, 0.1, [0.2, 0.3, 0.4]]),
+            ("gt_npcs", [None, ["a", "b", "c"], [0.2, 0.3, 0.4]]),
+        ],
+    )
+    def test_rejects_malformed_arrays(self, key, value):
+        data = tiny_scene_dict()
+        data[key] = value
+        with pytest.raises(SceneFormatError) as info:
+            scene_from_dict(data)
+        assert info.value.code == 19
 
     def test_ply_export(self, tmp_path):
         cfg = GenConfig(rng_seed=16, points_per_scene=512)
