@@ -398,8 +398,12 @@ def cmd_eval(args) -> int:
             raise ConfigError(f"missing prediction file {pred_path}")
         with open(pred_path) as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ConfigError(f"prediction file {pred_path} must hold a JSON object")
         if payload.get("version") != PRED_SCHEMA_VERSION:
             raise ConfigError(f"unsupported prediction version in {pred_path}")
+        if not isinstance(payload.get("instances"), list):
+            raise ConfigError(f"prediction file {pred_path} has no instances list")
         scenes.append(load_scene(scene_path))
         predictions.append(
             [prediction_from_dict(item) for item in payload["instances"]]

@@ -62,6 +62,7 @@ class WeightFormatError(YoeoError):
 
 
 class SceneFormatError(YoeoError, ValueError):
-    """Scene file with an unknown version or arrays of the wrong shape."""
+    """Scene file with an unsupported version, a missing or malformed
+    field, or arrays of the wrong shape."""
 
     code = 19

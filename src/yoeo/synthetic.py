@@ -10,6 +10,7 @@ transform, metric size, and camera-frame joint axis.
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from .parts import (
     joint_axis_in_part_frame,
 )
 
-SCENE_SCHEMA_VERSION = 1
+SCENE_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -470,41 +471,15 @@ def record_to_dict(record: InstanceRecord) -> dict:
     }
 
 
-def record_from_dict(data: dict) -> InstanceRecord:
-    return InstanceRecord(
-        semantic_class=int(data["class"]),
-        pose=Sim3Transform(
-            data["pose"]["s"],
-            np.array(data["pose"]["R"]).reshape(3, 3),
-            np.array(data["pose"]["t"]),
-        ),
-        size=np.array(data["size"]),
-        axis=JointAxis(
-            np.array(data["axis"]["origin"]),
-            np.array(data["axis"]["dir"]),
-            data["axis"]["kind"],
-        ),
-    )
-
-
-def scene_to_dict(scene: Scene) -> dict:
-    return {
-        "version": SCENE_SCHEMA_VERSION,
-        "points": scene.points.tolist(),
-        "gt_semantic": scene.gt_semantic.tolist(),
-        "gt_instance": scene.gt_instance.tolist(),
-        "gt_npcs": [
-            None if background else row
-            for row, background in zip(
-                scene.gt_npcs.tolist(), np.isnan(scene.gt_npcs).any(axis=1).tolist()
-            )
-        ],
-        "instances": [record_to_dict(record) for record in scene.instances],
-        "camera_pose": {
-            "R": _vec(scene.camera_pose.rotation),
-            "t": _vec(scene.camera_pose.translation),
-        },
-    }
+def _get(data, key: str, what: str):
+    """`data[key]`; SceneFormatError if `data` is not an object or lacks `key`."""
+    if not isinstance(data, dict):
+        raise SceneFormatError(
+            f"{what} must be a JSON object, got {type(data).__name__}"
+        )
+    if key not in data:
+        raise SceneFormatError(f"{what} has no {key!r}")
+    return data[key]
 
 
 def _as_array(values, dtype, what: str) -> np.ndarray:
@@ -514,16 +489,84 @@ def _as_array(values, dtype, what: str) -> np.ndarray:
         raise SceneFormatError(f"{what}: {exc}") from exc
 
 
-def _float_rows(rows, what: str) -> np.ndarray:
-    """`rows` as an (n, 3) float64 array; an empty list gives (0, 3)."""
-    array = _as_array(rows, np.float64, what)
-    if array.shape == (0,):
-        return array.reshape(0, 3)
-    if array.ndim != 2 or array.shape[1] != 3:
+def _numbers(values, count: int, what: str) -> np.ndarray:
+    array = _as_array(values, np.float64, what)
+    if array.shape != (count,):
         raise SceneFormatError(
-            f"{what} must be rows of 3 numbers, got shape {array.shape}"
+            f"{what} must be {count} numbers, got shape {array.shape}"
         )
     return array
+
+
+def _transform_from_dict(data, scale, what: str) -> Sim3Transform:
+    rotation = _numbers(_get(data, "R", what), 9, f"{what} R").reshape(3, 3)
+    translation = _numbers(_get(data, "t", what), 3, f"{what} t")
+    try:
+        return Sim3Transform(scale, rotation, translation)
+    except (TypeError, ValueError) as exc:
+        raise SceneFormatError(f"{what}: {exc}") from exc
+
+
+def record_from_dict(data) -> InstanceRecord:
+    """Inverse of `record_to_dict`; raises SceneFormatError for a missing
+    field, a vector of the wrong length, an unknown axis kind, or values
+    that do not make a similarity transform and a joint axis."""
+    pose = _get(data, "pose", "instance")
+    axis = _get(data, "axis", "instance")
+    origin = _numbers(_get(axis, "origin", "instance axis"), 3, "axis origin")
+    direction = _numbers(_get(axis, "dir", "instance axis"), 3, "axis dir")
+    size = _numbers(_get(data, "size", "instance"), 3, "instance size")
+    transform = _transform_from_dict(
+        pose, _get(pose, "s", "instance pose"), "instance pose"
+    )
+    semantic_class = _get(data, "class", "instance")
+    kind = _get(axis, "kind", "instance axis")
+    try:
+        return InstanceRecord(
+            int(semantic_class), transform, size, JointAxis(origin, direction, kind)
+        )
+    except (TypeError, ValueError) as exc:
+        raise SceneFormatError(f"instance: {exc}") from exc
+
+
+def _encode_rows(rows: np.ndarray) -> str:
+    """(n, 3) rows as base64 of their little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(rows, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _decode_rows(text, what: str) -> np.ndarray:
+    """Inverse of `_encode_rows`; an empty string gives (0, 3)."""
+    if not isinstance(text, str):
+        raise SceneFormatError(
+            f"{what} must be a base64 string, got {type(text).__name__}"
+        )
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or non-ASCII text
+        raise SceneFormatError(f"{what} is not valid base64: {exc}") from exc
+    if len(raw) % 24:
+        raise SceneFormatError(
+            f"{what} holds {len(raw)} bytes, not rows of 3 float64 (24 bytes)"
+        )
+    return np.frombuffer(raw, dtype="<f8").reshape(-1, 3).astype(np.float64)
+
+
+def scene_to_dict(scene: Scene) -> dict:
+    npcs = np.array(scene.gt_npcs, dtype=np.float64)
+    # Any NaN marks a background row; the reader takes only whole-NaN rows.
+    npcs[np.isnan(npcs).any(axis=1)] = np.nan
+    return {
+        "version": SCENE_SCHEMA_VERSION,
+        "points": _encode_rows(scene.points),
+        "gt_semantic": scene.gt_semantic.tolist(),
+        "gt_instance": scene.gt_instance.tolist(),
+        "gt_npcs": _encode_rows(npcs),
+        "instances": [record_to_dict(record) for record in scene.instances],
+        "camera_pose": {
+            "R": _vec(scene.camera_pose.rotation),
+            "t": _vec(scene.camera_pose.translation),
+        },
+    }
 
 
 def _labels(values, n: int, what: str) -> np.ndarray:
@@ -533,29 +576,37 @@ def _labels(values, n: int, what: str) -> np.ndarray:
     return array
 
 
-def scene_from_dict(data: dict) -> Scene:
-    """Inverse of `scene_to_dict`; raises SceneFormatError for an unknown
-    version or arrays whose shapes disagree with the point count."""
-    if data.get("version") != SCENE_SCHEMA_VERSION:
-        raise SceneFormatError(f"unsupported scene version {data.get('version')}")
-    points = _float_rows(data["points"], "points")
+def scene_from_dict(data) -> Scene:
+    """Inverse of `scene_to_dict`; raises SceneFormatError for anything
+    that is not a version-2 scene with arrays of agreeing shapes."""
+    version = _get(data, "version", "scene")
+    if version == 1:
+        raise SceneFormatError(
+            "scene file version 1 is no longer read; regenerate it with "
+            "`yoeo generate` and the seed and config in its manifest.json"
+        )
+    if version != SCENE_SCHEMA_VERSION:
+        raise SceneFormatError(f"unsupported scene version {version!r}")
+    points = _decode_rows(_get(data, "points", "scene"), "points")
     n = len(points)
-    rows = data["gt_npcs"]
-    if len(rows) != n:
-        raise SceneFormatError(f"gt_npcs has {len(rows)} rows, expected {n}")
-    labelled = np.array([row is not None for row in rows], dtype=bool)
-    npcs = np.full((n, 3), np.nan)
-    npcs[labelled] = _float_rows([row for row in rows if row is not None], "gt_npcs")
+    npcs = _decode_rows(_get(data, "gt_npcs", "scene"), "gt_npcs")
+    if len(npcs) != n:
+        raise SceneFormatError(f"gt_npcs has {len(npcs)} rows, points {n}")
+    if not (np.isnan(npcs).all(axis=1) | np.isfinite(npcs).all(axis=1)).all():
+        raise SceneFormatError(
+            "gt_npcs rows must be three NaNs (background) or three finite numbers"
+        )
+    instances = _get(data, "instances", "scene")
+    if not isinstance(instances, list):
+        raise SceneFormatError("scene instances must be a list")
     return Scene(
         points=points,
-        gt_semantic=_labels(data["gt_semantic"], n, "gt_semantic"),
-        gt_instance=_labels(data["gt_instance"], n, "gt_instance"),
+        gt_semantic=_labels(_get(data, "gt_semantic", "scene"), n, "gt_semantic"),
+        gt_instance=_labels(_get(data, "gt_instance", "scene"), n, "gt_instance"),
         gt_npcs=npcs,
-        instances=tuple(record_from_dict(item) for item in data["instances"]),
-        camera_pose=Sim3Transform(
-            1.0,
-            np.array(data["camera_pose"]["R"]).reshape(3, 3),
-            np.array(data["camera_pose"]["t"]),
+        instances=tuple(record_from_dict(item) for item in instances),
+        camera_pose=_transform_from_dict(
+            _get(data, "camera_pose", "scene"), 1.0, "camera_pose"
         ),
     )
 
@@ -574,10 +625,14 @@ def load_scene(path) -> Scene:
 
 def export_ply(scene: Scene, path) -> None:
     """ASCII PLY with xyz and the semantic label per vertex."""
+    body = "".join(
+        f"{x} {y} {z} {label}\n"
+        for (x, y, z), label in zip(scene.points.tolist(), scene.gt_semantic.tolist())
+    )
     with open(path, "w") as fh:
-        fh.write("ply\nformat ascii 1.0\n")
-        fh.write(f"element vertex {len(scene.points)}\n")
-        fh.write("property double x\nproperty double y\nproperty double z\n")
-        fh.write("property int label\nend_header\n")
-        for p, label in zip(scene.points, scene.gt_semantic):
-            fh.write(f"{p[0]} {p[1]} {p[2]} {label}\n")
+        fh.write(
+            "ply\nformat ascii 1.0\n"
+            f"element vertex {len(scene.points)}\n"
+            "property double x\nproperty double y\nproperty double z\n"
+            "property int label\nend_header\n" + body
+        )

@@ -1,3 +1,4 @@
+import base64
 import io
 import json
 import numpy as np
@@ -6,17 +7,28 @@ import pytest
 from yoeo.cli import PRED_SCHEMA_VERSION, main, prediction_to_dict
 from yoeo.network import (
     OracleNoise,
+    TrainConfig,
     init_params,
     load_weights,
     oracle_predict,
     save_weights,
+    scene_to_sample,
+    train,
 )
 from yoeo.pipeline import run_scene_pipeline
-from yoeo.synthetic import load_scene
+from yoeo.synthetic import GenConfig, generate_object, load_scene, render_scene
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def encode_rows(rows):
+    return base64.b64encode(np.asarray(rows, dtype="<f8").tobytes()).decode("ascii")
+
+
+def decode_rows(text):
+    return np.frombuffer(base64.b64decode(text), dtype="<f8").reshape(-1, 3).copy()
 
 
 def generate(tmp_path, name="data", seed=1, count=4, points=768, extra=()):
@@ -42,6 +54,25 @@ class TestGenerate:
         b = generate(tmp_path, name="b", seed=5, count=3)
         for name in ["manifest.json"] + [f"scene_{i:05d}.json" for i in range(3)]:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_scene_file_fields(self, tmp_path):
+        # Readers of the labels and instance records parse them as plain JSON.
+        out = generate(tmp_path, count=2)
+        for path in sorted(out.glob("scene_*.json")):
+            data = json.loads(path.read_text())
+            scene = load_scene(path)
+            assert data["version"] == 2
+            assert isinstance(data["points"], str) and isinstance(data["gt_npcs"], str)
+            assert data["gt_semantic"] == scene.gt_semantic.tolist()
+            assert data["gt_instance"] == scene.gt_instance.tolist()
+            assert all(type(v) is int for v in data["gt_semantic"] + data["gt_instance"])
+            assert isinstance(data["instances"], list) and data["instances"]
+            for item, record in zip(data["instances"], scene.instances):
+                assert item["class"] == record.semantic_class
+                assert item["pose"]["R"] == record.pose.rotation.reshape(-1).tolist()
+                assert item["pose"]["t"] == record.pose.translation.tolist()
+                assert item["axis"]["kind"] == record.axis.kind
+            assert len(data["camera_pose"]["R"]) == 9
 
     def test_count_zero_rejected(self, tmp_path, capsys):
         code = run("generate", "--seed", 1, "--count", 0, "--out", tmp_path / "x")
@@ -155,7 +186,9 @@ class TestTrain:
         data = generate(tmp_path, name="nandata", count=2, points=512)
         scene_file = data / "scene_00000.json"
         payload = json.loads(scene_file.read_text())
-        payload["points"][0][0] = float("nan")
+        points = decode_rows(payload["points"])
+        points[0, 0] = float("nan")
+        payload["points"] = encode_rows(points)
         scene_file.write_text(json.dumps(payload))
         code = run("train", "--seed", 1, "--data", data, "--out", tmp_path / "m2",
                    "--epochs", 2, "--hidden1", 8, "--hidden2", 8, "--k", 4)
@@ -173,6 +206,20 @@ class TestTrain:
             outs.append(out)
         assert (outs[0] / "weights.bin").read_bytes() == (outs[1] / "weights.bin").read_bytes()
         assert (outs[0] / "loss_curve.csv").read_bytes() == (outs[1] / "loss_curve.csv").read_bytes()
+
+    def test_weights_match_training_on_rendered_scenes(self, tmp_path):
+        data = generate(tmp_path, name="tdata", seed=6, count=3, points=512)
+        out = tmp_path / "m"
+        assert run("train", "--seed", 4, "--data", data, "--out", out,
+                   "--epochs", 2, "--hidden1", 12, "--hidden2", 16, "--k", 8) == 0
+        dataset = []
+        for seed in (6, 7, 8):
+            cfg = GenConfig(rng_seed=seed, points_per_scene=512)
+            dataset.append(scene_to_sample(render_scene(generate_object(seed, cfg), cfg)))
+        trained, _ = train(init_params(hidden=(12, 16), k=8, rng_seed=4), dataset,
+                           TrainConfig(epochs=2, rng_seed=4))
+        save_weights(trained, tmp_path / "memory.bin")
+        assert (out / "weights.bin").read_bytes() == (tmp_path / "memory.bin").read_bytes()
 
 
 class TestInfer:
@@ -223,8 +270,8 @@ class TestInfer:
     @pytest.mark.parametrize(
         "key, reshape",
         [
-            ("points", lambda rows: np.reshape(rows, (-1, 4)).tolist()),
-            ("gt_npcs", lambda rows: rows[:-1]),
+            ("points", lambda text: encode_rows(decode_rows(text))[:-4]),  # 3 bytes short
+            ("gt_npcs", lambda text: encode_rows(decode_rows(text)[:-1])),
             ("gt_semantic", lambda rows: rows + [0]),
         ],
     )
@@ -237,6 +284,61 @@ class TestInfer:
         code = run("infer", "--data", data, "--oracle", "--out", tmp_path / "p")
         assert code == 1
         assert "YOEO-E19" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda d: [d], id="top-level-list"),
+            pytest.param(lambda d: {k: v for k, v in d.items() if k != "points"},
+                         id="missing-points"),
+            pytest.param(lambda d: {k: v for k, v in d.items() if k != "camera_pose"},
+                         id="missing-camera-pose"),
+            pytest.param(lambda d: {**d, "points": decode_rows(d["points"]).tolist()},
+                         id="points-as-rows"),
+            pytest.param(lambda d: {**d, "points": "*" + d["points"][1:]},
+                         id="points-bad-base64"),
+            pytest.param(lambda d: {**d, "gt_npcs": encode_rows(decode_rows(d["gt_npcs"]))[:-4]},
+                         id="npcs-bytes-not-rows"),
+            pytest.param(lambda d: {**d, "gt_npcs": encode_rows(
+                np.where(np.arange(3) == 0, np.nan, decode_rows(d["gt_npcs"])))},
+                         id="npcs-partly-nan-rows"),
+            pytest.param(lambda d: {**d, "instances": [{**d["instances"][0], "size": [0.1]}]},
+                         id="instance-size-1"),
+            pytest.param(lambda d: {**d, "instances": [
+                {**d["instances"][0], "pose": {**d["instances"][0]["pose"], "R": [1.0] * 8}}]},
+                         id="instance-R-8"),
+            pytest.param(lambda d: {**d, "instances": [
+                {**d["instances"][0], "axis": {**d["instances"][0]["axis"], "kind": "screw"}}]},
+                         id="instance-kind"),
+            pytest.param(lambda d: {**d, "camera_pose": {**d["camera_pose"], "t": [0.0]}},
+                         id="camera-t-1"),
+        ],
+    )
+    def test_malformed_scene_file_cases(self, tmp_path, capsys, edit):
+        data = generate(tmp_path, count=1)
+        path = data / "scene_00000.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        code = run("infer", "--data", data, "--oracle", "--out", tmp_path / "p")
+        assert code == 1
+        assert "YOEO-E19" in capsys.readouterr().err
+
+    def test_version_1_scene_file_asks_to_regenerate(self, tmp_path, capsys):
+        data = generate(tmp_path, count=1)
+        path = data / "scene_00000.json"
+        scene = json.loads(path.read_text())
+        npcs = decode_rows(scene["gt_npcs"])
+        scene.update(
+            version=1,
+            points=decode_rows(scene["points"]).tolist(),
+            gt_npcs=[None if np.isnan(row).any() else row for row in npcs.tolist()],
+        )
+        path.write_text(json.dumps(scene))
+        for command in (["infer", "--oracle"], ["train", "--seed", 1]):
+            code = run(*command, "--data", data, "--out", tmp_path / "p")
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("YOEO-E19:")
+            assert "regenerate it with `yoeo generate`" in err
 
     def test_corrupt_weights_magic_error(self, tmp_path, capsys):
         data = generate(tmp_path, count=1)
@@ -396,6 +498,24 @@ class TestEval:
         code = run("eval", "--data", data, "--preds", preds, "--out", tmp_path / "e")
         assert code != 0
         assert "YOEO-E" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            pytest.param([], id="list"),
+            pytest.param("pred", id="string"),
+            pytest.param({"version": 1, "scene": "scene_00000.json"}, id="no-instances"),
+            pytest.param({"version": 1, "instances": {}}, id="instances-object"),
+        ],
+    )
+    def test_malformed_prediction_file_rejected(self, tmp_path, capsys, payload):
+        data = generate(tmp_path, count=1)
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        (preds / "pred_00000.json").write_text(json.dumps(payload))
+        code = run("eval", "--data", data, "--preds", preds, "--out", tmp_path / "e")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("YOEO-E2:")
 
     def test_removed_config_key_rejected(self, tmp_path, capsys):
         # eval has no sampling or parallelism knobs; old keys are unknown.

@@ -1,11 +1,14 @@
+import base64
 import dataclasses
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
 
 from yoeo.errors import DegenerateSpec, SceneFormatError
-from yoeo.geometry import RansacParams, rotation_geodesic_deg
+from yoeo.geometry import RansacParams, Sim3Transform, rotation_geodesic_deg
 from yoeo.npcs import recover_pose, transform_axis
 from yoeo.parts import CLASS_TO_KIND, KIND_TO_CLASS, canonical_joint_axis
 from yoeo.synthetic import (
@@ -18,6 +21,7 @@ from yoeo.synthetic import (
     generate_object,
     gt_offsets,
     load_scene,
+    record_from_dict,
     render_scene,
     save_scene,
     scene_from_dict,
@@ -233,20 +237,29 @@ class TestGtOffsets:
             assert np.abs(offsets[mask].mean(axis=0)).max() < 1e-9
 
 
+def pack_rows(rows):
+    """base64 of the rows' numbers as little-endian float64, packed one
+    number at a time with `struct`; a None row is three NaNs."""
+    flat = []
+    for row in rows:
+        flat.extend([math.nan] * 3 if row is None else row if isinstance(row, list) else [row])
+    return base64.b64encode(struct.pack(f"<{len(flat)}d", *flat)).decode("ascii")
+
+
 def streamed_scene_bytes(scene, path):
-    """Scene file as the row-by-row dict through `json.dump`, which streams
-    the text through the pure-Python encoder."""
+    """Scene file built row by row (points and NPCS packed with `struct`)
+    and streamed through the pure-Python encoder by `json.dump`."""
     def vec(a):
         return np.asarray(a, dtype=np.float64).reshape(-1).tolist()
 
     data = {
-        "version": 1,
-        "points": scene.points.tolist(),
+        "version": 2,
+        "points": pack_rows(scene.points.tolist()),
         "gt_semantic": scene.gt_semantic.tolist(),
         "gt_instance": scene.gt_instance.tolist(),
-        "gt_npcs": [
-            None if np.isnan(row).any() else row.tolist() for row in scene.gt_npcs
-        ],
+        "gt_npcs": pack_rows(
+            [None if np.isnan(row).any() else row.tolist() for row in scene.gt_npcs]
+        ),
         "instances": [
             {
                 "class": r.semantic_class,
@@ -269,14 +282,39 @@ def streamed_scene_bytes(scene, path):
 def tiny_scene_dict():
     """A valid 3-point scene dict: one background point, two part points."""
     return {
-        "version": 1,
-        "points": [[0.0, 0.0, 1.0], [0.1, 0.0, 1.0], [0.0, 0.1, 1.0]],
+        "version": 2,
+        "points": pack_rows([[0.0, 0.0, 1.0], [0.1, 0.0, 1.0], [0.0, 0.1, 1.0]]),
         "gt_semantic": [0, 1, 1],
         "gt_instance": [-1, 0, 0],
-        "gt_npcs": [None, [0.5, 0.25, 0.0], [0.25, 0.5, 1.0]],
+        "gt_npcs": pack_rows([None, [0.5, 0.25, 0.0], [0.25, 0.5, 1.0]]),
         "instances": [],
         "camera_pose": {"R": np.eye(3).reshape(-1).tolist(), "t": [0.0, 0.0, 0.0]},
     }
+
+
+def v1_scene_dict(scene):
+    """The version-1 layout: decimal point rows and null background rows."""
+    data = scene_to_dict(scene)
+    data["version"] = 1
+    data["points"] = scene.points.tolist()
+    data["gt_npcs"] = [
+        None if np.isnan(row).any() else row.tolist() for row in scene.gt_npcs
+    ]
+    return data
+
+
+def tiny_record_dict():
+    return {
+        "class": 1,
+        "pose": {"s": 0.2, "R": np.eye(3).reshape(-1).tolist(), "t": [0.0, 0.1, 1.0]},
+        "size": [0.1, 0.1, 0.1],
+        "axis": {"origin": [0.0, 0.0, 1.0], "dir": [1.0, 0.0, 0.0],
+                 "kind": "prismatic"},
+    }
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestSceneIO:
@@ -286,10 +324,10 @@ class TestSceneIO:
         path = tmp_path / "scene.json"
         save_scene(scene, path)
         loaded = load_scene(path)
-        assert (loaded.points == scene.points).all()
+        assert same_bits(loaded.points, scene.points)
         assert (loaded.gt_semantic == scene.gt_semantic).all()
         assert (loaded.gt_instance == scene.gt_instance).all()
-        assert np.array_equal(loaded.gt_npcs, scene.gt_npcs, equal_nan=True)
+        assert same_bits(loaded.gt_npcs, scene.gt_npcs)
         assert len(loaded.instances) == len(scene.instances)
         for a, b in zip(loaded.instances, scene.instances):
             assert a.semantic_class == b.semantic_class
@@ -311,29 +349,76 @@ class TestSceneIO:
         + [(301, {"partial_view": True, "objects_per_scene": 2})],
     )
     def test_file_bytes_match_streaming_writer(self, tmp_path, seed, config):
+        # Same scene -> same bytes, and the bytes of a row-by-row writer.
         cfg = GenConfig(rng_seed=seed, **config)
+        paths = []
+        for name in ("a.json", "b.json"):
+            paths.append(tmp_path / name)
+            save_scene(render_scene(generate_object(seed, cfg), cfg), paths[-1])
         scene = render_scene(generate_object(seed, cfg), cfg)
-        path = tmp_path / "scene.json"
-        save_scene(scene, path)
-        assert path.read_bytes() == streamed_scene_bytes(scene, tmp_path / "ref.json")
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert paths[0].read_bytes() == streamed_scene_bytes(scene, tmp_path / "ref.json")
+
+    @pytest.mark.parametrize(
+        "points, npcs",
+        [
+            ([[-0.0, 0.0, 5e-324]], [None]),  # -0.0, the smallest subnormal
+            ([[2.2250738585072014e-308 / 3, -1e-310, 1.0]], [[-0.0, 5e-324, 1.0]]),
+            ([[0.1, 0.2, 0.3], [1e300, -1e-300, 1 / 3]], [None, None]),  # all background
+            ([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]], [[0.7, 0.8, 0.9], [0.0, -0.0, 1.0]]),
+            ([[math.nan, math.inf, -math.inf]], [[0.5, 0.5, 0.5]]),  # points may be non-finite
+            ([], []),
+        ],
+    )
+    def test_arrays_round_trip_bit_exact(self, points, npcs):
+        n = len(points)
+        scene = Scene(
+            points=np.array(points, dtype=np.float64).reshape(n, 3),
+            gt_semantic=np.zeros(n, dtype=np.int64),
+            gt_instance=np.full(n, -1, dtype=np.int64),
+            gt_npcs=np.array([[math.nan] * 3 if r is None else r for r in npcs],
+                             dtype=np.float64).reshape(n, 3),
+            instances=(),
+            camera_pose=Sim3Transform.identity(),
+        )
+        data = json.loads(json.dumps(scene_to_dict(scene)))
+        loaded = scene_from_dict(data)
+        assert same_bits(loaded.points, scene.points)
+        assert same_bits(loaded.gt_npcs, scene.gt_npcs)
+        assert loaded.points.flags.writeable and loaded.gt_npcs.flags.writeable
+        assert data["points"] == pack_rows(points)
+        assert data["gt_npcs"] == pack_rows(npcs)
+
+    def test_partly_nan_npcs_row_written_as_background(self):
+        scene = Scene(
+            points=np.zeros((2, 3)),
+            gt_semantic=np.zeros(2, dtype=np.int64),
+            gt_instance=np.full(2, -1, dtype=np.int64),
+            gt_npcs=np.array([[0.1, math.nan, 0.3], [0.4, 0.5, 0.6]]),
+            instances=(),
+            camera_pose=Sim3Transform.identity(),
+        )
+        data = scene_to_dict(scene)
+        assert data["gt_npcs"] == pack_rows([None, [0.4, 0.5, 0.6]])
+        assert np.isnan(scene_from_dict(data).gt_npcs[0]).all()
 
     def test_all_background_npcs(self):
         data = tiny_scene_dict()
-        data["gt_npcs"] = [None, None, None]
+        data["gt_npcs"] = pack_rows([None, None, None])
         scene = scene_from_dict(data)
         assert scene.gt_npcs.shape == (3, 3)
         assert np.isnan(scene.gt_npcs).all()
 
     def test_npcs_without_background(self):
+        rows = [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]]
         data = tiny_scene_dict()
-        data["gt_npcs"] = [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]]
+        data["gt_npcs"] = pack_rows(rows)
         scene = scene_from_dict(data)
-        assert scene.gt_npcs.tolist() == data["gt_npcs"]
+        assert scene.gt_npcs.tolist() == rows
 
     def test_zero_point_scene(self):
         data = tiny_scene_dict()
-        for key in ("points", "gt_semantic", "gt_instance", "gt_npcs"):
-            data[key] = []
+        data.update(points="", gt_semantic=[], gt_instance=[], gt_npcs="")
         scene = scene_from_dict(data)
         assert scene.points.shape == (0, 3)
         assert scene.gt_npcs.shape == (0, 3)
@@ -345,11 +430,21 @@ class TestSceneIO:
         with pytest.raises(ValueError):
             scene_from_dict({"version": 999})
 
+    def test_rejects_version_1_with_regenerate_hint(self):
+        cfg = GenConfig(rng_seed=18, points_per_scene=512)
+        data = v1_scene_dict(render_scene(generate_object(61, cfg), cfg))
+        with pytest.raises(SceneFormatError) as info:
+            scene_from_dict(json.loads(json.dumps(data)))
+        assert info.value.code == 19
+        assert "version 1" in str(info.value)
+        assert "regenerate it with `yoeo generate`" in str(info.value)
+
     @pytest.mark.parametrize(
         "key, value",
         [
-            ("version", 2),
-            # 24 numbers; a reshape to rows of 3 would accept them as (8, 3).
+            ("version", "2"),  # a string is not the schema version
+            # Arrays are packed as flat float64 runs, so only the byte
+            # count carries rows: 24 numbers decode as 8 rows.
             ("points", [[0.1, 0.2, 0.3, 0.4]] * 6),
             ("points", [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]),
             ("points", [[0.1, 0.2, 0.3], [0.4, 0.5], [0.6, 0.7, 0.8]]),
@@ -359,20 +454,109 @@ class TestSceneIO:
             ("gt_semantic", [[0], [1], [1]]),
             ("gt_instance", [-1, 0, 0, 0]),
             ("gt_npcs", [None, [0.1, 0.2, 0.3]]),
-            # 6 numbers; a reshape to rows of 3 would accept them as (2, 3).
             ("gt_npcs", [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]),
             ("gt_npcs", [None, [0.1, 0.2], [0.3, 0.4, 0.5]]),
             ("gt_npcs", [None, [0.1, 0.2, 0.3, 0.4], [0.5, 0.6, 0.7, 0.8]]),
             ("gt_npcs", [None, 0.1, [0.2, 0.3, 0.4]]),
-            ("gt_npcs", [None, ["a", "b", "c"], [0.2, 0.3, 0.4]]),
+            ("gt_npcs", [None, [math.nan, 0.2, 0.3], [0.2, 0.3, 0.4]]),
         ],
     )
     def test_rejects_malformed_arrays(self, key, value):
         data = tiny_scene_dict()
-        data[key] = value
+        data[key] = pack_rows(value) if key in ("points", "gt_npcs") else value
         with pytest.raises(SceneFormatError) as info:
             scene_from_dict(data)
         assert info.value.code == 19
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda d: [d], id="top-level-list"),
+            pytest.param(lambda d: "scene", id="top-level-string"),
+            *(
+                pytest.param(lambda d, k=key: {n: v for n, v in d.items() if n != k},
+                             id=f"missing-{key}")
+                for key in ("version", "points", "gt_semantic", "gt_instance",
+                            "gt_npcs", "instances", "camera_pose")
+            ),
+            pytest.param(lambda d: {**d, "points": [[0.0, 0.0, 1.0]] * 3},
+                         id="points-as-rows"),
+            pytest.param(lambda d: {**d, "points": 1.0}, id="points-as-number"),
+            pytest.param(lambda d: {**d, "gt_npcs": None}, id="npcs-null"),
+            pytest.param(lambda d: {**d, "points": d["points"][:-1] + "!"},
+                         id="points-bad-char"),
+            pytest.param(lambda d: {**d, "points": d["points"][:4] + "!" + d["points"][4:]},
+                         id="points-inserted-char"),
+            pytest.param(lambda d: {**d, "points": d["points"][:-2]},
+                         id="points-truncated"),
+            pytest.param(lambda d: {**d, "points": d["points"] + "A=="},
+                         id="points-misplaced-padding"),
+            pytest.param(lambda d: {**d, "points": "\u00e9" * 4}, id="points-non-ascii"),
+            pytest.param(lambda d: {**d, "points": pack_rows([0.0] * 8)},
+                         id="points-64-bytes"),
+            pytest.param(lambda d: {**d, "gt_npcs": pack_rows([None, None])},
+                         id="npcs-2-rows"),
+            pytest.param(lambda d: {**d, "gt_npcs": pack_rows([None, [0.1, 0.2, math.inf],
+                                                               [0.1, 0.2, 0.3]])},
+                         id="npcs-inf"),
+            pytest.param(lambda d: {**d, "gt_npcs": pack_rows([None, [math.nan, math.nan, 0.2],
+                                                               [0.1, 0.2, 0.3]])},
+                         id="npcs-two-nans"),
+            pytest.param(lambda d: {**d, "instances": {}}, id="instances-object"),
+            pytest.param(lambda d: {**d, "instances": [1]}, id="instance-number"),
+            pytest.param(lambda d: {**d, "camera_pose": [1]}, id="camera-list"),
+            pytest.param(lambda d: {**d, "camera_pose": {"R": [1.0] * 9}},
+                         id="camera-no-t"),
+            pytest.param(lambda d: {**d, "camera_pose": {"R": [1.0] * 9, "t": [0.0] * 3}},
+                         id="camera-not-rotation"),
+            pytest.param(lambda d: {**d, "camera_pose": {**d["camera_pose"], "t": [0.0] * 4}},
+                         id="camera-t-4"),
+        ],
+    )
+    def test_rejects_malformed_file(self, edit):
+        with pytest.raises(SceneFormatError) as info:
+            scene_from_dict(edit(tiny_scene_dict()))
+        assert info.value.code == 19
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("class",), "drawer"),
+            (("pose",), [1.0]),
+            (("pose", "s"), None),
+            (("pose", "s"), -1.0),
+            (("pose", "R"), [1.0] * 8),
+            (("pose", "R"), np.eye(3).tolist()),
+            (("pose", "R"), [2.0, 0, 0, 0, 1, 0, 0, 0, 1]),
+            (("pose", "t"), [0.0] * 4),
+            (("pose", "t"), ["a", "b", "c"]),
+            (("size",), [0.1, 0.1]),
+            (("size",), 0.1),
+            (("axis",), "prismatic"),
+            (("axis", "origin"), [0.0, 0.0]),
+            (("axis", "dir"), [1.0, 0.0, 0.0, 0.0]),
+            (("axis", "dir"), [0.0, 0.0, 0.0]),
+            (("axis", "kind"), "screw"),
+            (("axis", "kind"), None),
+        ],
+    )
+    def test_rejects_malformed_record(self, path, value):
+        record = tiny_record_dict()
+        assert record_from_dict(record).semantic_class == 1
+        parent = record
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(SceneFormatError) as info:
+            record_from_dict(record)
+        assert info.value.code == 19
+
+    @pytest.mark.parametrize("key", ["class", "pose", "size", "axis"])
+    def test_rejects_record_without_field(self, key):
+        record = tiny_record_dict()
+        del record[key]
+        with pytest.raises(SceneFormatError):
+            record_from_dict(record)
 
     def test_ply_export(self, tmp_path):
         cfg = GenConfig(rng_seed=16, points_per_scene=512)
@@ -387,3 +571,19 @@ class TestSceneIO:
         assert len(lines) - header_end - 1 == n
         first = lines[header_end + 1].split()
         assert len(first) == 4
+
+    @pytest.mark.parametrize("seed", [62, 63])
+    def test_ply_bytes_match_per_row_writer(self, tmp_path, seed):
+        cfg = GenConfig(rng_seed=seed, points_per_scene=1024)
+        scene = render_scene(generate_object(seed, cfg), cfg)
+        path = tmp_path / "scene.ply"
+        export_ply(scene, path)
+        ref = tmp_path / "ref.ply"
+        with open(ref, "w") as fh:
+            fh.write("ply\nformat ascii 1.0\n")
+            fh.write(f"element vertex {len(scene.points)}\n")
+            fh.write("property double x\nproperty double y\nproperty double z\n")
+            fh.write("property int label\nend_header\n")
+            for p, label in zip(scene.points, scene.gt_semantic):
+                fh.write(f"{p[0]} {p[1]} {p[2]} {label}\n")
+        assert path.read_bytes() == ref.read_bytes()
