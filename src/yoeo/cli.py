@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, YoeoError
+from .errors import ConfigError, SceneFormatError, YoeoError
 from .geometry import RansacParams
 from .instance import ClusterParams
 from .metrics import benchmark_throughput, evaluate_scenes
@@ -44,6 +44,8 @@ from .pipeline import InstancePrediction, run_scene_pipeline
 from .synthetic import (
     GenConfig,
     InstanceRecord,
+    _as_array,
+    _get,
     export_ply,
     generate_object,
     load_scene,
@@ -201,6 +203,14 @@ def _gen_config(resolved: dict, scene_seed: int) -> GenConfig:
     )
 
 
+def _run_jobs(func, tasks: list, jobs: int) -> list:
+    """`func` over `tasks` in order, in `jobs` worker processes if > 1."""
+    if jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(jobs) as pool:
+            return list(pool.map(func, tasks))
+    return [func(task) for task in tasks]
+
+
 def _generate_one(task) -> dict:
     resolved, index, out = task
     scene_seed = resolved["seed"] + index
@@ -221,11 +231,7 @@ def cmd_generate(args) -> int:
     out = _prepare_out_dir(resolved, "generate")
 
     tasks = [(resolved, i, str(out)) for i in range(resolved["count"])]
-    if resolved["jobs"] > 1:
-        with concurrent.futures.ProcessPoolExecutor(resolved["jobs"]) as pool:
-            entries = list(pool.map(_generate_one, tasks))
-    else:
-        entries = [_generate_one(t) for t in tasks]
+    entries = _run_jobs(_generate_one, tasks, resolved["jobs"])
 
     manifest_cfg = {
         k: v for k, v in sorted(resolved.items()) if k not in ("out", "jobs")
@@ -327,12 +333,21 @@ def prediction_to_dict(pred: InstancePrediction) -> dict:
     }
 
 
-def prediction_from_dict(data: dict) -> InstancePrediction:
+def prediction_from_dict(data) -> InstancePrediction:
+    """Inverse of `prediction_to_dict`; raises SceneFormatError for a
+    malformed record, or for `point_indices` that is not a list of
+    integers or `inliers` that is not one integer."""
     record = record_from_dict(data)
+    point_indices = _as_array(
+        _get(data, "point_indices", "instance"), np.int64, "point_indices"
+    )
+    inliers = _as_array(_get(data, "inliers", "instance"), np.int64, "inliers")
+    if point_indices.ndim != 1 or inliers.ndim != 0:
+        raise SceneFormatError("point_indices must be a list and inliers a number")
     return InstancePrediction(
         semantic_class=record.semantic_class,
-        point_indices=np.array(data["point_indices"], dtype=np.int64),
-        result=PoseResult(record.pose, record.size, int(data["inliers"]), record.axis),
+        point_indices=point_indices,
+        result=PoseResult(record.pose, record.size, int(inliers), record.axis),
     )
 
 
@@ -376,11 +391,7 @@ def cmd_infer(args) -> int:
     paths = _scene_paths(data)
     weights = None if resolved["oracle"] else load_weights(resolved["weights"])
     tasks = [(resolved, weights, str(p), str(out)) for p in paths]
-    if resolved["jobs"] > 1:
-        with concurrent.futures.ProcessPoolExecutor(resolved["jobs"]) as pool:
-            names = list(pool.map(_infer_one, tasks))
-    else:
-        names = [_infer_one(t) for t in tasks]
+    names = _run_jobs(_infer_one, tasks, resolved["jobs"])
     print(f"wrote {len(names)} prediction files to {out}")
     return 0
 
@@ -396,8 +407,13 @@ def cmd_eval(args) -> int:
         pred_path = Path(preds_dir) / scene_path.name.replace("scene_", "pred_")
         if not pred_path.exists():
             raise ConfigError(f"missing prediction file {pred_path}")
-        with open(pred_path) as fh:
-            payload = json.load(fh)
+        try:
+            with open(pred_path) as fh:
+                payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(
+                f"invalid JSON in prediction file {pred_path}: {exc}"
+            ) from exc
         if not isinstance(payload, dict):
             raise ConfigError(f"prediction file {pred_path} must hold a JSON object")
         if payload.get("version") != PRED_SCHEMA_VERSION:
@@ -405,9 +421,12 @@ def cmd_eval(args) -> int:
         if not isinstance(payload.get("instances"), list):
             raise ConfigError(f"prediction file {pred_path} has no instances list")
         scenes.append(load_scene(scene_path))
-        predictions.append(
-            [prediction_from_dict(item) for item in payload["instances"]]
-        )
+        try:
+            predictions.append(
+                [prediction_from_dict(item) for item in payload["instances"]]
+            )
+        except SceneFormatError as exc:
+            raise ConfigError(f"prediction file {pred_path}: {exc}") from exc
 
     param_count = None
     if resolved["weights"]:

@@ -17,20 +17,20 @@ from .errors import DegenerateInput, NoConsensus
 ROTATION_TOL = 1e-9
 
 
-def check_rotation(matrix: np.ndarray, tol: float = ROTATION_TOL) -> np.ndarray:
+def check_rotation(matrix: np.ndarray) -> np.ndarray:
     """Validate a proper rotation matrix and return it as float64.
 
-    Raises ValueError when columns are not orthonormal within `tol` or the
-    determinant is not +1 within `tol`.
+    Raises ValueError when columns are not orthonormal within
+    ROTATION_TOL or the determinant is not +1 within ROTATION_TOL.
     """
     r = np.asarray(matrix, dtype=np.float64)
     if r.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got {r.shape}")
     err = np.abs(r.T @ r - np.eye(3)).max()
-    if err > tol:
+    if err > ROTATION_TOL:
         raise ValueError(f"matrix is not orthonormal (max deviation {err:.3e})")
     det = np.linalg.det(r)
-    if abs(det - 1.0) > max(tol, 1e-12):
+    if abs(det - 1.0) > ROTATION_TOL:
         raise ValueError(f"matrix is not a proper rotation (det {det:.12f})")
     return r
 
@@ -38,11 +38,6 @@ def check_rotation(matrix: np.ndarray, tol: float = ROTATION_TOL) -> np.ndarray:
 def rot_x(angle_rad: float) -> np.ndarray:
     c, s = np.cos(angle_rad), np.sin(angle_rad)
     return np.array([[1, 0, 0], [0, c, -s], [0, s, c]], dtype=np.float64)
-
-
-def rot_y(angle_rad: float) -> np.ndarray:
-    c, s = np.cos(angle_rad), np.sin(angle_rad)
-    return np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]], dtype=np.float64)
 
 
 def rot_z(angle_rad: float) -> np.ndarray:
@@ -133,15 +128,12 @@ def rotation_geodesic_deg(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.degrees(np.arccos(np.clip(cos, -1.0, 1.0))))
 
 
-def umeyama_align(
-    src: np.ndarray, dst: np.ndarray, with_scale: bool = True
-) -> Sim3Transform:
+def umeyama_align(src: np.ndarray, dst: np.ndarray) -> Sim3Transform:
     """Closed-form least-squares alignment of corresponding point sets.
 
     Returns the transform minimizing sum_i ||dst_i - (s R src_i + t)||^2
-    over SIM(3), or over SE(3) (s = 1) when `with_scale` is false. The
-    smallest-singular-value sign correction keeps det(R) = +1 even for
-    mirrored inputs.
+    over SIM(3). The smallest-singular-value sign correction keeps
+    det(R) = +1 even for mirrored inputs.
 
     Raises DegenerateInput for fewer than 3 points or (near-)collinear
     source points.
@@ -173,26 +165,23 @@ def umeyama_align(
         sign[2] = -1.0
     rotation = (u * sign) @ vt
 
-    if with_scale:
-        var_x = (xc * xc).sum() / n
-        scale = float((d * sign).sum() / var_x)
-    else:
-        scale = 1.0
+    var_x = (xc * xc).sum() / n
+    scale = float((d * sign).sum() / var_x)
     translation = mu_y - scale * rotation @ mu_x
     return Sim3Transform(scale, rotation, translation)
 
 
+# Points per minimal sample. 4 keeps minimal SIM(3) fits well-conditioned;
+# 3 points suffice mathematically but produce more degenerate draws.
+MIN_SAMPLE_SIZE = 4
+
+
 @dataclass(frozen=True)
 class RansacParams:
-    """Knobs for robust alignment.
-
-    `min_sample_size` of 4 keeps minimal SIM(3) fits well-conditioned;
-    3 points suffice mathematically but produce more degenerate draws.
-    """
+    """Knobs for robust alignment."""
 
     max_iterations: int = 128
     inlier_threshold: float = 0.01
-    min_sample_size: int = 4
     rng_seed: int = 0
     min_inlier_fraction: float = 0.25
 
@@ -201,13 +190,11 @@ class RansacParams:
             raise ValueError("max_iterations must be >= 1")
         if not self.inlier_threshold > 0.0:
             raise ValueError("inlier_threshold must be > 0")
-        if self.min_sample_size < 3:
-            raise ValueError("min_sample_size must be >= 3")
         if not 0.0 < self.min_inlier_fraction <= 1.0:
             raise ValueError("min_inlier_fraction must be in (0, 1]")
 
 
-def _umeyama_batch(src: np.ndarray, dst: np.ndarray, with_scale: bool):
+def _umeyama_batch(src: np.ndarray, dst: np.ndarray):
     """Vectorized minimal-sample fits: (B, k, 3) x (B, k, 3) -> s, R, t, valid.
 
     A collinear source (or target) sample leaves the cross-covariance
@@ -228,13 +215,10 @@ def _umeyama_batch(src: np.ndarray, dst: np.ndarray, with_scale: bool):
     correction[:, 2] = sign
     rotation = (u * correction[:, None, :]) @ vt
 
-    if with_scale:
-        var_x = (xc * xc).sum(axis=(1, 2)) / k
-        var_x = np.where(var_x > 0.0, var_x, 1.0)
-        scale = (d * correction).sum(axis=1) / var_x
-        valid &= scale > 0.0
-    else:
-        scale = np.ones(src.shape[0])
+    var_x = (xc * xc).sum(axis=(1, 2)) / k
+    var_x = np.where(var_x > 0.0, var_x, 1.0)
+    scale = (d * correction).sum(axis=1) / var_x
+    valid &= scale > 0.0
     translation = mu_y[:, 0, :] - scale[:, None] * np.einsum(
         "bij,bj->bi", rotation, mu_x[:, 0, :]
     )
@@ -242,16 +226,14 @@ def _umeyama_batch(src: np.ndarray, dst: np.ndarray, with_scale: bool):
 
 
 def ransac_align(
-    src: np.ndarray,
-    dst: np.ndarray,
-    params: RansacParams = RansacParams(),
-    with_scale: bool = True,
+    src: np.ndarray, dst: np.ndarray, params: RansacParams = RansacParams()
 ) -> tuple[Sim3Transform, np.ndarray]:
     """Robust SIM(3) alignment by random-sample consensus.
 
-    Draws minimal samples, keeps the candidate with the largest inlier
-    set (residual strictly below `inlier_threshold`; the first such
-    candidate wins ties), then refits once on that consensus set.
+    Draws minimal samples of MIN_SAMPLE_SIZE points, keeps the candidate
+    with the largest inlier set (residual strictly below
+    `inlier_threshold`; the first such candidate wins ties), then refits
+    once on that consensus set.
     Degenerate (collinear) samples and samples with a repeated index are
     skipped without consuming an iteration; the whole sample budget comes
     from one seeded generator, so the run is bit-deterministic for a
@@ -280,13 +262,14 @@ def ransac_align(
     if x.shape != y.shape:
         raise DegenerateInput(f"src/dst length mismatch: {x.shape[0]} vs {y.shape[0]}")
     n = x.shape[0]
-    k = params.min_sample_size
-    if n < k:
-        raise DegenerateInput(f"need at least {k} correspondences, got {n}")
+    if n < MIN_SAMPLE_SIZE:
+        raise DegenerateInput(
+            f"need at least {MIN_SAMPLE_SIZE} correspondences, got {n}"
+        )
 
     rng = np.random.default_rng(params.rng_seed)
     attempts = params.max_iterations * 4 + 16
-    idx = rng.integers(0, n, size=(attempts, k))
+    idx = rng.integers(0, n, size=(attempts, MIN_SAMPLE_SIZE))
 
     mu_x = x.sum(axis=0) / n
     mu_y = y.sum(axis=0) / n
@@ -314,7 +297,7 @@ def ransac_align(
         chunk_size = params.max_iterations
         ordered = np.sort(rows, axis=1)
         rows = rows[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)]
-        s, r, t, ok = _umeyama_batch(x[rows], y[rows], with_scale)
+        s, r, t, ok = _umeyama_batch(x[rows], y[rows])
         if not ok.any():
             continue
         s, r, t = s[ok], r[ok], t[ok]
@@ -350,7 +333,7 @@ def ransac_align(
             f"{params.min_inlier_fraction}"
         )
 
-    transform = umeyama_align(x[best_consensus], y[best_consensus], with_scale=with_scale)
+    transform = umeyama_align(x[best_consensus], y[best_consensus])
     diff = y - transform.apply(x)
     inlier_mask = (diff * diff).sum(axis=1) < threshold_sq
     return transform, inlier_mask

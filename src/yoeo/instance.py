@@ -54,10 +54,6 @@ class PerPointPrediction:
     def num_points(self) -> int:
         return self.semantic_probs.shape[0]
 
-    @property
-    def num_classes(self) -> int:
-        return self.semantic_probs.shape[1]
-
 
 @dataclass(frozen=True)
 class ClusterParams:
@@ -181,10 +177,3 @@ def _decode_members(point_indices: np.ndarray, pred: PerPointPrediction) -> np.n
     the lower bin index) decoded to its bin center.
     """
     return decode_bins(pred.npcs_logits[point_indices].argmax(axis=2))
-
-
-def extract_npcs(instance: PartInstance, pred: PerPointPrediction) -> np.ndarray:
-    """Decode canonical coordinates for an instance's member points, by
-    the rule cluster_instances applies to each instance it builds.
-    """
-    return _decode_members(instance.point_indices, pred)

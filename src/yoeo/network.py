@@ -18,7 +18,7 @@ written into parameters or into arrays the caller passes in.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -26,6 +26,7 @@ from scipy.spatial import cKDTree
 from .errors import NonFiniteLoss, TooFewPoints, WeightFormatError, ZeroMask
 from .instance import PerPointPrediction
 from .npcs import NUM_BINS, encode_bins
+from .parts import NUM_CLASSES
 from .synthetic import Scene, gt_offsets
 
 WEIGHTS_MAGIC = b"YOEO"
@@ -57,10 +58,6 @@ class ModelParams:
     w_npcs: np.ndarray
     b_npcs: np.ndarray
 
-    @property
-    def num_classes(self) -> int:
-        return self.w_sem.shape[1]
-
     def copy(self) -> "ModelParams":
         arrays = {name: getattr(self, name).copy() for name in _LAYER_NAMES}
         return ModelParams(k=self.k, **arrays)
@@ -70,7 +67,7 @@ class ModelParams:
 
 
 def init_params(
-    num_classes: int = 4,
+    num_classes: int = NUM_CLASSES,
     hidden: tuple[int, int] = DEFAULT_HIDDEN,
     k: int = DEFAULT_K,
     rng_seed: int = 0,
@@ -301,7 +298,6 @@ class TrainConfig:
     w_npcs: float = 1.0
     rng_seed: int = 0
     freeze: tuple[str, ...] = ()
-    focal: FocalLossParams = field(default_factory=FocalLossParams)
 
     def __post_init__(self):
         if not (self.learning_rate > 0 and self.epochs >= 1 and self.batch_scenes >= 1):
@@ -349,7 +345,7 @@ def scene_gradients(
     mask = np.asarray(sample.part_mask, dtype=bool)
 
     sem_loss, d_sem = _semantic_grad(
-        _softmax(cache["sem_logits"]), sample.labels, cfg.focal
+        _softmax(cache["sem_logits"]), sample.labels, FocalLossParams()
     )
     if mask.any():
         center_loss, d_off = _center_grad(cache["offsets"], sample.offsets, mask)
@@ -453,7 +449,7 @@ class OracleNoise:
 
 
 def oracle_predict(
-    scene, noise: OracleNoise = OracleNoise(), num_classes: int = 4
+    scene, noise: OracleNoise = OracleNoise(), num_classes: int = NUM_CLASSES
 ) -> PerPointPrediction:
     """Predictions derived from ground truth, optionally corrupted.
 
@@ -484,8 +480,7 @@ def oracle_predict(
     bins = encode_bins(npcs)
     logits = np.zeros((n, 3, NUM_BINS))
     idx = np.flatnonzero(part)
-    for axis in range(3):
-        logits[idx, axis, bins[idx, axis]] = 1.0
+    logits[idx[:, None], np.arange(3), bins[idx]] = 1.0
     return PerPointPrediction(probs, offsets, logits)
 
 

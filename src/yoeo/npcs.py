@@ -106,25 +106,19 @@ class PoseResult:
 def recover_pose(
     npcs_coords: np.ndarray,
     observed: np.ndarray,
-    extents_hint: np.ndarray | None = None,
     params: RansacParams = RansacParams(),
 ) -> PoseResult:
     """Align canonical coordinates to observed metric points.
 
     The transform comes from robust SIM(3) alignment; metric size is the
-    recovered scale times the canonical extents (taken from the
-    axis-aligned bounding box of the inlier canonical coordinates when no
-    hint is supplied).
+    recovered scale times the canonical extents, the axis-aligned
+    bounding box of the inlier canonical coordinates.
     """
     npcs = np.asarray(npcs_coords, dtype=np.float64).reshape(-1, 3)
     obs = np.asarray(observed, dtype=np.float64).reshape(-1, 3)
     transform, inlier_mask = ransac_align(npcs, obs, params)
-    if extents_hint is not None:
-        canonical_extents = np.asarray(extents_hint, dtype=np.float64).reshape(3)
-    else:
-        kept = npcs[inlier_mask]
-        canonical_extents = kept.max(axis=0) - kept.min(axis=0)
-    size = transform.scale * canonical_extents
+    kept = npcs[inlier_mask]
+    size = transform.scale * (kept.max(axis=0) - kept.min(axis=0))
     return PoseResult(transform, size, int(inlier_mask.sum()))
 
 

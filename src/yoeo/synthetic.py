@@ -23,6 +23,7 @@ from .npcs import JointAxis, canonicalize_part, transform_axis
 from .parts import (
     ARTICULATION_LIMITS,
     KIND_TO_CLASS,
+    canonical_joint_axis,
     joint_axis_in_part_frame,
 )
 
@@ -129,8 +130,8 @@ class Scene:
     camera_pose: Sim3Transform  # camera frame -> world frame
 
 
-def _sample_face_positions(rng, face_extent, part_extent, margin=0.01):
-    half = face_extent / 2 - part_extent / 2 - margin
+def _sample_face_positions(rng, face_extent, part_extent):
+    half = face_extent / 2 - part_extent / 2 - 0.01  # 1 cm margin to the face edge
     if half <= 0:
         return None
     return rng.uniform(-half, half)
@@ -220,15 +221,14 @@ def generate_object(seed: int, cfg: GenConfig = GenConfig()) -> ArticulatedObjec
     return spec
 
 
-def articulated_part_pose(part: PartSpec, articulation: float | None = None) -> Sim3Transform:
+def articulated_part_pose(part: PartSpec) -> Sim3Transform:
     """Part rest frame -> body frame after applying the articulation."""
-    value = part.articulation_value if articulation is None else articulation
     if part.kind == "drawer":
-        shift = value * part.joint.direction
+        shift = part.articulation_value * part.joint.direction
         return Sim3Transform(
             1.0, part.attach_pose.rotation, part.attach_pose.translation + shift
         )
-    rotation = rotation_about_axis(part.joint.direction, value)
+    rotation = rotation_about_axis(part.joint.direction, part.articulation_value)
     origin = part.joint.origin
     about_axis = Sim3Transform(1.0, rotation, origin - rotation @ origin)
     return about_axis.compose(part.attach_pose)
@@ -382,12 +382,7 @@ def render_scene(spec: ArticulatedObjectSpec, cfg: GenConfig) -> Scene:
                 cam_pose.translation
                 - diagonal * cam_pose.rotation @ np.full(3, 0.5),
             )
-            axis_part = joint_axis_in_part_frame(part.kind, extents)
-            axis_canon = JointAxis(
-                axis_part.origin / diagonal + 0.5,
-                axis_part.direction,
-                axis_part.kind,
-            )
+            axis_canon = canonical_joint_axis(sem, extents / diagonal)
             instances.append(
                 InstanceRecord(sem, pose, extents.copy(), transform_axis(axis_canon, pose))
             )

@@ -517,6 +517,47 @@ class TestEval:
         assert code == 1
         assert capsys.readouterr().err.startswith("YOEO-E2:")
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            pytest.param("point_indices", None, id="missing-point-indices"),
+            pytest.param("inliers", None, id="missing-inliers"),
+            pytest.param("point_indices", 7, id="point-indices-not-list"),
+            pytest.param(
+                "pose", {"s": 1.0, "R": [1.0] * 9, "t": [0.0] * 3}, id="bad-pose"
+            ),
+        ],
+    )
+    def test_malformed_prediction_record_rejected(self, tmp_path, capsys, field, value):
+        data = generate(tmp_path, count=1)
+        preds = tmp_path / "preds"
+        assert run("infer", "--data", data, "--oracle", "--out", preds) == 0
+        path = preds / "pred_00000.json"
+        payload = json.loads(path.read_text())
+        record = payload["instances"][0]
+        if value is None:
+            del record[field]
+        else:
+            record[field] = value
+        path.write_text(json.dumps(payload))
+        code = run("eval", "--data", data, "--preds", preds, "--out", tmp_path / "e")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("YOEO-E2:")
+        assert str(path) in err
+
+    def test_invalid_json_prediction_file_rejected(self, tmp_path, capsys):
+        data = generate(tmp_path, count=1)
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        path = preds / "pred_00000.json"
+        path.write_text('{"version": 1, "instances": [')
+        code = run("eval", "--data", data, "--preds", preds, "--out", tmp_path / "e")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("YOEO-E2:")
+        assert str(path) in err
+
     def test_removed_config_key_rejected(self, tmp_path, capsys):
         # eval has no sampling or parallelism knobs; old keys are unknown.
         cfg = tmp_path / "cfg.json"

@@ -8,11 +8,9 @@ import yoeo.instance
 from yoeo.errors import EmptyScene
 from yoeo.instance import (
     ClusterParams,
-    PartInstance,
     PerPointPrediction,
     _connectivity_labels,
     cluster_instances,
-    extract_npcs,
     vote_centroids,
 )
 from yoeo.network import OracleNoise, forward, init_params, oracle_predict
@@ -379,20 +377,24 @@ class TestConnectivity:
 
 
 class TestExtractNpcs:
+    @staticmethod
+    def decoded(pred):
+        """Coordinates cluster_instances decodes for the single instance
+        that n coincident class-1 points form."""
+        points = np.zeros((pred.num_points, 3))
+        [inst] = cluster_instances(points, pred, ClusterParams(min_points=4))
+        return inst.npcs_coords
+
     def test_one_hot_bin_fifty(self):
         logits = np.zeros((10, 3, 100))
         logits[:, :, 50] = 1.0
         pred = make_prediction(np.zeros((10, 3)), np.ones(10, dtype=int),
                                npcs_logits=logits)
-        inst = PartInstance(1, np.arange(10), None, np.zeros(3))
-        coords = extract_npcs(inst, pred)
-        assert np.allclose(coords, 0.505)
+        assert np.allclose(self.decoded(pred), 0.505)
 
     def test_uniform_logits_tie_break_to_bin_zero(self):
         pred = make_prediction(np.zeros((5, 3)), np.ones(5, dtype=int))
-        inst = PartInstance(1, np.arange(5), None, np.zeros(3))
-        coords = extract_npcs(inst, pred)
-        assert np.allclose(coords, 0.005)
+        assert np.allclose(self.decoded(pred), 0.005)
 
     def test_oracle_logits_within_half_bin(self):
         rng = np.random.default_rng(11)
@@ -405,9 +407,7 @@ class TestExtractNpcs:
             logits[np.arange(50), axis, bins[:, axis]] = 1.0
         pred = make_prediction(np.zeros((50, 3)), np.ones(50, dtype=int),
                                npcs_logits=logits)
-        inst = PartInstance(1, np.arange(50), None, np.zeros(3))
-        coords = extract_npcs(inst, pred)
-        assert np.abs(coords - gt).max() <= 0.005 + 1e-12
+        assert np.abs(self.decoded(pred) - gt).max() <= 0.005 + 1e-12
 
 
 class TestValidation:

@@ -305,7 +305,9 @@ def reference_npcs_grad(logits, bins, mask):
 def reference_gradients(params, sample, cfg, f):
     h1, h2, sem_logits, offsets, npcs_logits = reference_heads(params, f)
     mask = sample.part_mask
-    sem_loss, d_sem = _semantic_grad(reference_softmax(sem_logits), sample.labels, cfg.focal)
+    sem_loss, d_sem = _semantic_grad(
+        reference_softmax(sem_logits), sample.labels, FocalLossParams()
+    )
     if mask.any():
         center_loss, d_off = _center_grad(offsets, sample.offsets, mask)
         npcs_loss, d_npcs = reference_npcs_grad(npcs_logits, sample.bins, mask)

@@ -147,13 +147,22 @@ class TestRecoverPose:
         assert re < 1.0
         assert te < 0.005
 
-    def test_size_uses_extents_hint(self):
-        npcs, metric, canon, gt, _ = self.make_part(seed=12)
-        result = recover_pose(
-            npcs, metric, extents_hint=canon.canonical_extents,
-            params=RansacParams(rng_seed=4),
+    def test_size_is_scale_times_inlier_bbox(self):
+        npcs, metric, canon, gt, rng = self.make_part(seed=12)
+        part_bbox = npcs.max(axis=0) - npcs.min(axis=0)
+        # Two junk correspondences at the cube corners would stretch an
+        # all-point bounding box; as outliers they must not reach size.
+        npcs = np.vstack([npcs, [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]])
+        metric = np.vstack([metric, rng.uniform(-1, 1, size=(2, 3))])
+        result = recover_pose(npcs, metric, params=RansacParams(rng_seed=4))
+        diff = metric - result.transform.apply(npcs)
+        inliers = (diff * diff).sum(axis=1) < RansacParams.inlier_threshold**2
+        assert inliers[:-2].all() and not inliers[-2:].any()
+        kept = npcs[inliers]
+        assert np.array_equal(
+            result.size, result.transform.scale * (kept.max(axis=0) - kept.min(axis=0))
         )
-        assert np.allclose(result.size, gt.scale * canon.canonical_extents, atol=1e-9)
+        assert np.allclose(result.size, gt.scale * part_bbox, atol=1e-9)
 
     def test_error_grows_statistically_with_noise(self):
         rng = np.random.default_rng(99)
