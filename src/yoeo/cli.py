@@ -192,6 +192,12 @@ def _require(resolved: dict, key: str, command: str):
     return resolved[key]
 
 
+def _require_at_least_one(resolved: dict, *keys: str) -> None:
+    for key in keys:
+        if resolved[key] < 1:
+            raise ConfigError(f"{key} must be >= 1")
+
+
 def _gen_config(resolved: dict, scene_seed: int) -> GenConfig:
     overrides = {
         name: tuple(value) if isinstance(value, list) else value
@@ -226,8 +232,7 @@ def _generate_one(task) -> dict:
 def cmd_generate(args) -> int:
     resolved = _resolve(args, GENERATE_PARAMS, GEN_CONFIG_KEYS)
     _require(resolved, "seed", "generate")
-    if resolved["count"] < 1:
-        raise ConfigError("count must be >= 1")
+    _require_at_least_one(resolved, "count", "jobs")
     out = _prepare_out_dir(resolved, "generate")
 
     tasks = [(resolved, i, str(out)) for i in range(resolved["count"])]
@@ -386,6 +391,12 @@ def cmd_infer(args) -> int:
         raise ConfigError("infer requires --weights or --oracle")
     if resolved["oracle"] and resolved["weights"] is not None:
         raise ConfigError("infer takes --weights or --oracle, not both")
+    if not resolved["oracle"]:
+        noise = ("offset_sigma", "npcs_sigma", "flip_prob")
+        ignored = [key for key in noise if resolved[key] != 0]
+        if ignored:
+            raise ConfigError(f"oracle noise ({', '.join(ignored)}) needs --oracle")
+    _require_at_least_one(resolved, "jobs")
     out = _prepare_out_dir(resolved, "infer")
 
     paths = _scene_paths(data)

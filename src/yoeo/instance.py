@@ -74,7 +74,6 @@ class PartInstance:
     semantic_class: int
     point_indices: np.ndarray
     npcs_coords: np.ndarray
-    voted_centroid: np.ndarray
 
 
 def vote_centroids(points: np.ndarray, pred: PerPointPrediction) -> np.ndarray:
@@ -164,7 +163,6 @@ def cluster_instances(
             semantic_class=int(labels[members[0]]),
             point_indices=members,
             npcs_coords=_decode_members(members, pred),
-            voted_centroid=votes[members].mean(axis=0),
         )
         for members in groups
     ]

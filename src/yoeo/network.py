@@ -67,7 +67,6 @@ class ModelParams:
 
 
 def init_params(
-    num_classes: int = NUM_CLASSES,
     hidden: tuple[int, int] = DEFAULT_HIDDEN,
     k: int = DEFAULT_K,
     rng_seed: int = 0,
@@ -84,7 +83,7 @@ def init_params(
         k=k,
         w1=layer(feat, h1), b1=np.zeros(h1),
         w2=layer(h1, h2), b2=np.zeros(h2),
-        w_sem=layer(h2, num_classes), b_sem=np.zeros(num_classes),
+        w_sem=layer(h2, NUM_CLASSES), b_sem=np.zeros(NUM_CLASSES),
         w_off=layer(h2, 3), b_off=np.zeros(3),
         w_npcs=layer(h2, 3 * NUM_BINS), b_npcs=np.zeros(3 * NUM_BINS),
     )
@@ -448,9 +447,7 @@ class OracleNoise:
             raise ValueError("semantic_flip_prob must be in [0, 1]")
 
 
-def oracle_predict(
-    scene, noise: OracleNoise = OracleNoise(), num_classes: int = NUM_CLASSES
-) -> PerPointPrediction:
+def oracle_predict(scene, noise: OracleNoise = OracleNoise()) -> PerPointPrediction:
     """Predictions derived from ground truth, optionally corrupted.
 
     Labels flip (uniformly to another class) with `semantic_flip_prob`;
@@ -464,9 +461,9 @@ def oracle_predict(
     labels = scene.gt_semantic.astype(np.int64).copy()
     if noise.semantic_flip_prob > 0.0:
         flips = rng.uniform(size=n) < noise.semantic_flip_prob
-        shift = rng.integers(1, num_classes, size=n)
-        labels[flips] = (labels[flips] + shift[flips]) % num_classes
-    probs = np.zeros((n, num_classes))
+        shift = rng.integers(1, NUM_CLASSES, size=n)
+        labels[flips] = (labels[flips] + shift[flips]) % NUM_CLASSES
+    probs = np.zeros((n, NUM_CLASSES))
     probs[np.arange(n), labels] = 1.0
 
     offsets = gt_offsets(scene)
@@ -550,12 +547,14 @@ def load_weights(path) -> ModelParams:
 
 def _check_layout(named: dict, k_matrix: np.ndarray) -> None:
     """Raise WeightFormatError unless the stored matrices chain into the
-    architecture: w1 (6, h1), w2 (h1, h2), heads (h2, c | 3 | 3 * NUM_BINS),
-    each bias a (1, width) row, every width >= 1 and k a 1x1 integer >= 1."""
-    h1, h2, c = named["w1"].shape[1], named["w2"].shape[1], named["w_sem"].shape[1]
+    architecture: w1 (6, h1), w2 (h1, h2), heads (h2, NUM_CLASSES | 3 |
+    3 * NUM_BINS), each bias a (1, width) row, every width >= 1 and k a 1x1
+    integer >= 1."""
+    h1, h2 = named["w1"].shape[1], named["w2"].shape[1]
     expected = {
         "w1": (6, h1), "b1": (1, h1), "w2": (h1, h2), "b2": (1, h2),
-        "w_sem": (h2, c), "b_sem": (1, c), "w_off": (h2, 3), "b_off": (1, 3),
+        "w_sem": (h2, NUM_CLASSES), "b_sem": (1, NUM_CLASSES),
+        "w_off": (h2, 3), "b_off": (1, 3),
         "w_npcs": (h2, 3 * NUM_BINS), "b_npcs": (1, 3 * NUM_BINS),
     }
     for name, shape in expected.items():
@@ -563,8 +562,8 @@ def _check_layout(named: dict, k_matrix: np.ndarray) -> None:
             raise WeightFormatError(
                 f"layer {name} has shape {named[name].shape}, expected {shape}"
             )
-    if min(h1, h2, c) < 1:
-        raise WeightFormatError(f"layer widths must be >= 1, got {(h1, h2, c)}")
+    if min(h1, h2) < 1:
+        raise WeightFormatError(f"layer widths must be >= 1, got {(h1, h2)}")
     if k_matrix.shape != (1, 1):
         raise WeightFormatError(f"k must be a 1x1 matrix, got {k_matrix.shape}")
     k = k_matrix[0, 0]

@@ -31,7 +31,7 @@ ARTICULATION_LIMITS = {
 
 def joint_axis_in_part_frame(kind: str, extents: np.ndarray) -> JointAxis:
     """Joint axis in the part's rest frame (box centered at the origin)."""
-    ex, _, ez = np.asarray(extents, dtype=np.float64)
+    ex, _, ez = np.asarray(extents, dtype=np.float64).reshape(3)
     if kind == "drawer":
         return JointAxis(np.zeros(3), np.array([1.0, 0.0, 0.0]), "prismatic")
     if kind in ("hinge_lid", "hinge_handle"):
@@ -44,18 +44,12 @@ def joint_axis_in_part_frame(kind: str, extents: np.ndarray) -> JointAxis:
 def canonical_joint_axis(semantic_class: int, canonical_extents: np.ndarray) -> JointAxis:
     """Class-level joint-axis prior expressed in the canonical unit cube.
 
-    The same edge convention as :func:`joint_axis_in_part_frame`, shifted
-    so the box center sits at (0.5, 0.5, 0.5). `canonical_extents` may be
-    estimated (e.g. from the bounding box of predicted coordinates).
+    :func:`joint_axis_in_part_frame` shifted so the box center sits at
+    (0.5, 0.5, 0.5). `canonical_extents` may be estimated (e.g. from the
+    bounding box of predicted coordinates).
     """
-    ce = np.asarray(canonical_extents, dtype=np.float64).reshape(3)
     kind = CLASS_TO_KIND.get(int(semantic_class))
     if kind is None:
         raise ValueError(f"class {semantic_class} has no joint-axis convention")
-    if kind == "drawer":
-        return JointAxis(np.full(3, 0.5), np.array([1.0, 0.0, 0.0]), "prismatic")
-    return JointAxis(
-        np.array([0.5 + ce[0] / 2.0, 0.5, 0.5 - ce[2] / 2.0]),
-        np.array([0.0, 1.0, 0.0]),
-        "revolute",
-    )
+    axis = joint_axis_in_part_frame(kind, canonical_extents)
+    return JointAxis(axis.origin + 0.5, axis.direction, axis.kind)

@@ -29,6 +29,18 @@ from .parts import (
 
 SCENE_SCHEMA_VERSION = 2
 
+# Per-kind (x, y, z) extent ranges of a part box, in meters.
+PART_EXTENTS = {
+    "drawer": ((0.06, 0.12), (0.12, 0.22), (0.08, 0.16)),
+    "hinge_lid": ((0.12, 0.3), (0.12, 0.3), (0.015, 0.03)),
+    "hinge_handle": ((0.07, 0.14), (0.025, 0.05), (0.02, 0.04)),
+}
+# Articulation can swing a hinged part's centroid by ~9 cm, so keep
+# same-class placements far enough apart for bandwidth-0.05 clustering.
+SAME_CLASS_FACE_SEPARATION = 0.16
+# Angular z-buffer cells (azimuth, elevation) of a partial view.
+VIEW_GRID = (160, 120)
+
 
 @dataclass(frozen=True)
 class PartSpec:
@@ -92,18 +104,11 @@ class GenConfig:
     lid_count: tuple[int, int] = (0, 1)
     handle_count: tuple[int, int] = (0, 2)
     body_extents_range: tuple[float, float] = (0.25, 0.55)
-    drawer_extents: tuple = ((0.06, 0.12), (0.12, 0.22), (0.08, 0.16))
-    lid_extents: tuple = ((0.12, 0.3), (0.12, 0.3), (0.015, 0.03))
-    handle_extents: tuple = ((0.07, 0.14), (0.025, 0.05), (0.02, 0.04))
     camera_distance_range: tuple[float, float] = (1.2, 2.0)
     camera_elevation_range_deg: tuple[float, float] = (15.0, 60.0)
     camera_azimuth_range_deg: tuple[float, float] = (0.0, 360.0)
     partial_view: bool = False
-    view_grid: tuple[int, int] = (160, 120)
     min_part_points: int = 64
-    # Articulation can swing a hinged part's centroid by ~9 cm, so keep
-    # same-class placements far enough apart for bandwidth-0.05 clustering.
-    same_class_face_separation: float = 0.16
 
     def __post_init__(self):
         if self.points_per_scene < 512:
@@ -137,39 +142,32 @@ def _sample_face_positions(rng, face_extent, part_extent):
     return rng.uniform(-half, half)
 
 
-def _try_place(rng, body, kind, extents, placed, min_sep_centers):
-    """Rest-frame center for a part on its face, avoiding earlier parts."""
-    bx, by, bz = body
-    gap = 0.002
+def _try_place(rng, body, kind, extents, placed):
+    """Rest-frame center for a part on its face (+x for drawers, +z for
+    hinged parts), avoiding earlier parts and same-kind neighbors."""
+    fixed = 0 if kind == "drawer" else 2
+    free = [axis for axis in range(3) if axis != fixed]
     for _ in range(40):
-        if kind == "drawer":
-            y = _sample_face_positions(rng, by, extents[1])
-            z = _sample_face_positions(rng, bz, extents[2])
-            if y is None or z is None:
-                return None
-            center = np.array([bx / 2 + gap + extents[0] / 2, y, z])
-            face_key = ("x+", np.array([y, z]))
-        else:
-            x = _sample_face_positions(rng, bx, extents[0])
-            y = _sample_face_positions(rng, by, extents[1])
-            if x is None or y is None:
-                return None
-            center = np.array([x, y, bz / 2 + gap + extents[2] / 2])
-            face_key = ("z+", np.array([x, y]))
+        # Draw both free positions before checking either; the draw
+        # order fixes the RNG stream and so every later part and scene.
+        positions = [_sample_face_positions(rng, body[a], extents[a]) for a in free]
+        if None in positions:
+            return None
+        face_pos = np.array(positions)
+        # The part sits 2 mm off its face.
+        positions.insert(fixed, body[fixed] / 2 + 0.002 + extents[fixed] / 2)
+        center = np.array(positions)
 
         lo, hi = center - extents / 2, center + extents / 2
-        if any(_aabbs_overlap((lo, hi), b) for b in placed["boxes"]):
+        if any(_aabbs_overlap((lo, hi), box) for _, box, _ in placed):
             continue
-        close = False
-        for other_kind, other_face, other_pos in placed["faces"]:
-            if other_kind == kind and other_face == face_key[0]:
-                if np.linalg.norm(other_pos - face_key[1]) < min_sep_centers:
-                    close = True
-                    break
-        if close:
+        if any(
+            other == kind
+            and np.linalg.norm(other_pos - face_pos) < SAME_CLASS_FACE_SEPARATION
+            for other, _, other_pos in placed
+        ):
             continue
-        placed["boxes"].append((lo, hi))
-        placed["faces"].append((kind, face_key[0], face_key[1]))
+        placed.append((kind, (lo, hi), face_pos))
         return center
     return None
 
@@ -181,28 +179,26 @@ def generate_object(seed: int, cfg: GenConfig = GenConfig()) -> ArticulatedObjec
     body = rng.uniform(*cfg.body_extents_range, size=3)
 
     kind_table = (
-        ("drawer", cfg.drawer_count, cfg.drawer_extents),
-        ("hinge_lid", cfg.lid_count, cfg.lid_extents),
-        ("hinge_handle", cfg.handle_count, cfg.handle_extents),
+        ("drawer", cfg.drawer_count),
+        ("hinge_lid", cfg.lid_count),
+        ("hinge_handle", cfg.handle_count),
     )
     max_possible = cfg.drawer_count[1] + cfg.lid_count[1] + cfg.handle_count[1]
 
     parts = []
     for _ in range(16):  # placement-failure retries
         kinds = []
-        for kind, count_range, ext_range in kind_table:
+        for kind, count_range in kind_table:
             count = int(rng.integers(count_range[0], count_range[1] + 1))
-            kinds.extend((kind, ext_range) for _ in range(count))
+            kinds.extend([kind] * count)
         if not kinds and max_possible > 0:
             continue
 
-        placed = {"boxes": [], "faces": []}
+        placed = []  # (kind, rest-frame box, position on its face)
         parts = []
-        for kind, ext_range in kinds:
-            extents = np.array([rng.uniform(*r) for r in ext_range])
-            center = _try_place(
-                rng, body, kind, extents, placed, cfg.same_class_face_separation
-            )
+        for kind in kinds:
+            extents = np.array([rng.uniform(*r) for r in PART_EXTENTS[kind]])
+            center = _try_place(rng, body, kind, extents, placed)
             if center is None:
                 continue
             attach = Sim3Transform(1.0, np.eye(3), center)
@@ -298,8 +294,8 @@ def _camera_pose(rng, cfg: GenConfig) -> Sim3Transform:
     return Sim3Transform(1.0, rotation, position)
 
 
-def _partial_view_mask(points_cam: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
-    """Keep the nearest point per angular grid cell (z-buffer culling)."""
+def _partial_view_mask(points_cam: np.ndarray) -> np.ndarray:
+    """Keep the nearest point per VIEW_GRID angular cell (z-buffer culling)."""
     x, y, z = points_cam[:, 0], points_cam[:, 1], points_cam[:, 2]
     azimuth = np.arctan2(x, z)
     elevation = np.arctan2(y, np.hypot(x, z))
@@ -310,7 +306,8 @@ def _partial_view_mask(points_cam: np.ndarray, grid: tuple[int, int]) -> np.ndar
         span = max(hi - lo, 1e-9)
         return np.minimum((values - lo) / span * n, n - 1).astype(np.int64)
 
-    cell = bins(azimuth, grid[0]) * grid[1] + bins(elevation, grid[1])
+    n_azimuth, n_elevation = VIEW_GRID
+    cell = bins(azimuth, n_azimuth) * n_elevation + bins(elevation, n_elevation)
     order = np.lexsort((np.arange(len(cell)), dist, cell))
     sorted_cells = cell[order]
     first = np.ones(len(cell), dtype=bool)
@@ -340,25 +337,22 @@ def render_scene(spec: ArticulatedObjectSpec, cfg: GenConfig) -> Scene:
         ]
     spacing = 1.5 * max(np.linalg.norm(s.body_extents) for s in specs)
 
-    boxes = []  # (extents, world pose, semantic class, instance id or -1, kind)
+    boxes = []  # (extents, world pose, semantic class, instance id or -1)
     next_instance = 0
     for obj_idx, obj in enumerate(specs):
         offset = np.array([obj_idx * spacing, 0.0, 0.0])
         body_pose = Sim3Transform(1.0, np.eye(3), offset)
-        boxes.append((obj.body_extents, body_pose, 0, -1, None))
+        boxes.append((obj.body_extents, body_pose, 0, -1))
         for part in obj.parts:
             world = body_pose.compose(articulated_part_pose(part))
-            boxes.append((part.extents, world, KIND_TO_CLASS[part.kind], next_instance, part))
+            boxes.append((part.extents, world, KIND_TO_CLASS[part.kind], next_instance))
             next_instance += 1
 
     areas = np.array(
         [2 * (e[0] * e[1] + e[0] * e[2] + e[1] * e[2]) for e, *_ in boxes]
     )
     alloc = _largest_remainder(areas / areas.sum() * cfg.points_per_scene)
-    floors = np.zeros(len(boxes), dtype=int)
-    for i, b in enumerate(boxes):
-        if b[3] >= 0:
-            floors[i] = max(cfg.min_part_points, 4)
+    floors = np.array([max(cfg.min_part_points, 4) if b[3] >= 0 else 0 for b in boxes])
     alloc = np.maximum(alloc, floors)
     excess = alloc.sum() - cfg.points_per_scene
     while excess > 0:
@@ -372,7 +366,7 @@ def render_scene(spec: ArticulatedObjectSpec, cfg: GenConfig) -> Scene:
 
     all_points, all_sem, all_inst, all_npcs = [], [], [], []
     instances = []
-    for (extents, world_pose, sem, inst_id, part), n_box in zip(boxes, alloc):
+    for (extents, world_pose, sem, inst_id), n_box in zip(boxes, alloc):
         cam_pose = camera_inv.compose(world_pose)
         if inst_id >= 0:
             diagonal = float(np.linalg.norm(extents))
@@ -409,7 +403,7 @@ def render_scene(spec: ArticulatedObjectSpec, cfg: GenConfig) -> Scene:
         camera_pose=camera,
     )
     if cfg.partial_view:
-        keep = _partial_view_mask(points, cfg.view_grid)
+        keep = _partial_view_mask(points)
         scene = dataclasses.replace(
             scene,
             points=scene.points[keep],

@@ -1,10 +1,13 @@
 import base64
 import io
 import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from yoeo.cli import PRED_SCHEMA_VERSION, main, prediction_to_dict
+from yoeo.cli import GEN_CONFIG_KEYS, PRED_SCHEMA_VERSION, main, prediction_to_dict
 from yoeo.network import (
     OracleNoise,
     TrainConfig,
@@ -80,6 +83,15 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.startswith("YOEO-E")
         assert "count must be >= 1" in err
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        out = tmp_path / "x"
+        code = run("generate", "--seed", 1, "--count", 1, "--jobs", jobs, "--out", out)
+        assert code != 0
+        err = capsys.readouterr().err
+        assert err.startswith("YOEO-E2:") and "jobs must be >= 1" in err
+        assert not out.exists()
 
     def test_missing_seed_rejected(self, tmp_path, capsys):
         code = run("generate", "--count", 1, "--out", tmp_path / "x")
@@ -420,6 +432,60 @@ class TestInfer:
         assert "YOEO-E2:" in capsys.readouterr().err
         assert not list(out.glob("pred_*.json"))
 
+    @pytest.mark.parametrize("via", ["flags", "config"])
+    @pytest.mark.parametrize(
+        "key, value", [("offset_sigma", 0.5), ("npcs_sigma", 0.01), ("flip_prob", 0.9)]
+    )
+    def test_oracle_noise_without_oracle_rejected(
+        self, tmp_path, capsys, via, key, value
+    ):
+        # The network path has no noise to add; the value would be ignored.
+        data = generate(tmp_path, count=1, points=512)
+        weights = tmp_path / "w.bin"
+        save_weights(init_params(hidden=(12, 16), k=8, rng_seed=6), weights)
+        out = tmp_path / "p"
+        if via == "flags":
+            code = run("infer", "--data", data, "--weights", weights,
+                       "--" + key.replace("_", "-"), value, "--out", out)
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"weights": str(weights), key: value}))
+            code = run("infer", "--config", cfg, "--data", data, "--out", out)
+        assert code != 0
+        err = capsys.readouterr().err
+        assert err.startswith("YOEO-E2:") and key in err and "--oracle" in err
+        assert not out.exists()
+
+    def test_weights_run_config_with_zero_noise_round_trips(self, tmp_path):
+        data = generate(tmp_path, count=2, points=512)
+        weights = tmp_path / "w.bin"
+        save_weights(init_params(hidden=(12, 16), k=8, rng_seed=6), weights)
+        out = tmp_path / "p"
+        assert run("infer", "--data", data, "--weights", weights, "--offset-sigma", 0,
+                   "--flip-prob", 0.0, "--out", out) == 0
+        echoed = (out / "resolved_config.json").read_bytes()
+        resolved = json.loads(echoed)
+        assert [resolved[k] for k in ("offset_sigma", "npcs_sigma", "flip_prob")] == [
+            0, 0, 0
+        ]
+        preds = {f.name: f.read_bytes() for f in out.glob("pred_*.json")}
+        assert len(preds) == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(echoed)
+        assert run("infer", "--config", cfg) == 0
+        assert (out / "resolved_config.json").read_bytes() == echoed
+        assert {f.name: f.read_bytes() for f in out.glob("pred_*.json")} == preds
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        data = generate(tmp_path, count=1, points=512)
+        out = tmp_path / "p"
+        code = run("infer", "--data", data, "--oracle", "--jobs", jobs, "--out", out)
+        assert code != 0
+        err = capsys.readouterr().err
+        assert err.startswith("YOEO-E2:") and "jobs must be >= 1" in err
+        assert not out.exists()
+
     def test_trained_weights_produce_valid_json(self, tmp_path):
         data = generate(tmp_path, count=3, points=512)
         model = tmp_path / "model"
@@ -582,6 +648,15 @@ class TestBench:
         code = run("bench", "--data", data, "--out", tmp_path / "b", "--runs", 1)
         assert code != 0
         assert "YOEO-E" in capsys.readouterr().err
+
+
+def test_readme_lists_the_generate_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("`generate` also takes the `GenConfig` fields")
+    sentence = readme[start:readme.index(";", start)]
+    listed = re.findall(r"`(\w+)`", sentence)[2:]  # after `generate`, `GenConfig`
+    assert len(listed) == len(set(listed))
+    assert set(listed) == GEN_CONFIG_KEYS
 
 
 @pytest.fixture(scope="module")

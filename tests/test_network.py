@@ -30,6 +30,7 @@ from yoeo.network import (
     train,
     trainable_arrays,
 )
+from yoeo.parts import NUM_CLASSES
 from yoeo.synthetic import GenConfig, generate_object, render_scene
 
 LAYER_NAMES = ("w1", "b1", "w2", "b2", "w_sem", "b_sem",
@@ -573,11 +574,24 @@ class TestWeightsIO:
             load_weights(path)
 
     def test_zero_width_layer_rejected(self, tmp_path):
-        params = init_params(num_classes=4, hidden=(8, 12), rng_seed=22)
-        params.w_sem, params.b_sem = np.zeros((12, 0)), np.zeros(0)
+        params = init_params(hidden=(8, 12), rng_seed=22)
+        params.w1, params.b1 = np.zeros((6, 0)), np.zeros(0)
+        params.w2 = np.zeros((0, 12))
         path = tmp_path / "weights.bin"
         save_weights(params, path)
-        with pytest.raises(WeightFormatError):
+        with pytest.raises(WeightFormatError, match="widths"):
+            load_weights(path)
+
+    @pytest.mark.parametrize("classes", [0, 3, 5, 6])
+    def test_semantic_head_must_have_num_classes_columns(self, tmp_path, classes):
+        # A consistent file for another class count would load and then
+        # fail at the joint-axis prior of a class id >= NUM_CLASSES.
+        params = init_params(hidden=(8, 12), rng_seed=27)
+        params.w_sem = np.ones((12, classes))
+        params.b_sem = np.zeros(classes)
+        path = tmp_path / "weights.bin"
+        save_weights(params, path)
+        with pytest.raises(WeightFormatError, match="w_sem"):
             load_weights(path)
 
     @pytest.mark.parametrize("k", [0.0, -3.0, 2.5, float("nan"), float("inf")])
@@ -617,14 +631,18 @@ class TestOracle:
 
         assert (decoded == encode_bins(scene.gt_npcs[part])).all()
 
-    def test_flip_prob_one_with_two_classes_inverts(self):
+    def test_flip_prob_one_changes_every_label(self):
         rng = np.random.default_rng(22)
-        scene = self.fake_scene(rng, num_classes=2)
-        pred = oracle_predict(
-            scene, OracleNoise(semantic_flip_prob=1.0, rng_seed=1), num_classes=2
-        )
+        scene = self.fake_scene(rng, n=400)
+        pred = oracle_predict(scene, OracleNoise(semantic_flip_prob=1.0, rng_seed=1))
+        assert pred.semantic_probs.shape == (len(scene.points), NUM_CLASSES)
         flipped = pred.semantic_probs.argmax(axis=1)
-        assert (flipped == 1 - scene.gt_semantic).all()
+        assert (flipped != scene.gt_semantic).all()
+        assert ((flipped >= 0) & (flipped < NUM_CLASSES)).all()
+        # Every other class is reached from every true class.
+        for label in range(NUM_CLASSES):
+            reached = set(flipped[scene.gt_semantic == label].tolist())
+            assert reached == set(range(NUM_CLASSES)) - {label}
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(23)
