@@ -1,4 +1,4 @@
-"""Command-line entry point: generate | train | infer | eval | bench.
+"""Command-line entry point: generate | train | infer | eval.
 
 Each command declares its parameters once, in a table of config key ->
 (type, default[, help]); the flags (``--learning-rate`` for
@@ -6,7 +6,8 @@ Each command declares its parameters once, in a table of config key ->
 accepted config keys all come from it. Parameters resolve from the
 defaults, then an optional JSON config file, then explicitly passed flags
 (flags win), and are echoed into the output directory. A config key the
-command does not use is an error. All errors print a machine-parsable
+command does not use, or a config value of the wrong type, is an error.
+All errors print a machine-parsable
 ``YOEO-E<code>:`` prefix on stderr and exit non-zero.
 """
 
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import ConfigError, SceneFormatError, YoeoError
 from .geometry import RansacParams
 from .instance import ClusterParams
-from .metrics import benchmark_throughput, evaluate_scenes
+from .metrics import evaluate_scenes
 from .network import (
     DEFAULT_HIDDEN,
     DEFAULT_K,
@@ -58,7 +59,8 @@ from .synthetic import (
 PRED_SCHEMA_VERSION = 1
 
 # Parameter tables: config key -> (type, default[, help]). A tuple type
-# lists the choices of a repeatable flag.
+# lists the choices of a repeatable flag; the type `tuple` is a GenConfig
+# range, a list as long as its default.
 OUT_PARAM = {"out": (str, None, "output directory")}
 
 GENERATE_PARAMS = {
@@ -72,11 +74,13 @@ GENERATE_PARAMS = {
     "jobs": (int, 1),
 }
 
-# GenConfig fields a generate config file may set (partial_view and
-# objects_per_scene also have flags).
-GEN_CONFIG_KEYS = frozenset(GenConfig.__dataclass_fields__) - {
-    "rng_seed",  # always --seed + scene index
-    "points_per_scene",  # always --points
+# GenConfig fields a generate config file may set, typed by their defaults
+# (partial_view and objects_per_scene also have flags). rng_seed is always
+# --seed + scene index, and points_per_scene always --points.
+GEN_CONFIG_PARAMS = {
+    name: (type(field.default), field.default)
+    for name, field in GenConfig.__dataclass_fields__.items()
+    if name not in ("rng_seed", "points_per_scene")
 }
 
 TRAIN_PARAMS = {
@@ -100,13 +104,6 @@ TRAIN_PARAMS = {
     ),
 }
 
-BACKEND_PARAMS = {
-    "bandwidth": (float, ClusterParams.bandwidth),
-    "min_points": (int, ClusterParams.min_points),
-    "inlier_threshold": (float, RansacParams.inlier_threshold),
-    "ransac_iterations": (int, RansacParams.max_iterations),
-}
-
 INFER_PARAMS = {
     **OUT_PARAM,
     "seed": (int, RansacParams.rng_seed),
@@ -116,7 +113,10 @@ INFER_PARAMS = {
     "offset_sigma": (float, OracleNoise.offset_sigma),
     "npcs_sigma": (float, OracleNoise.npcs_sigma),
     "flip_prob": (float, OracleNoise.semantic_flip_prob),
-    **BACKEND_PARAMS,
+    "bandwidth": (float, ClusterParams.bandwidth),
+    "min_points": (int, ClusterParams.min_points),
+    "inlier_threshold": (float, RansacParams.inlier_threshold),
+    "ransac_iterations": (int, RansacParams.max_iterations),
     "min_inlier_fraction": (float, RansacParams.min_inlier_fraction),
     "jobs": (int, 1),
 }
@@ -126,14 +126,6 @@ EVAL_PARAMS = {
     "data": (str, None),
     "preds": (str, None),
     "weights": (str, None, "report the model's parameter count"),
-}
-
-BENCH_PARAMS = {
-    **OUT_PARAM,
-    "seed": (int, RansacParams.rng_seed),
-    "data": (str, None),
-    "runs": (int, 5),
-    **BACKEND_PARAMS,
 }
 
 
@@ -153,19 +145,53 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def _resolve(args: argparse.Namespace, params: dict, config_only=frozenset()) -> dict:
+def _fits(value, kind, default) -> bool:
+    """Whether a JSON config value fits a parameter table entry: null only
+    where the default is None, a bool only for a bool key, an int (never a
+    bool) for an int or float key, and lists for choices and ranges."""
+    if value is None:
+        return default is None
+    if isinstance(kind, tuple):
+        return type(value) is list and all(item in kind for item in value)
+    if kind is tuple:
+        return (
+            type(value) is list
+            and len(value) == len(default)
+            and all(_fits(item, type(d), d) for item, d in zip(value, default))
+        )
+    return type(value) in ((int, float) if kind is float else (kind,))
+
+
+def _expected(kind, default) -> str:
+    if isinstance(kind, tuple):
+        return f"a list of {', '.join(kind)}"
+    if kind is tuple:
+        return f"a list like {json.dumps(default)}"
+    names = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+    return names[kind] + (" or null" if default is None else "")
+
+
+def _resolve(args: argparse.Namespace, params: dict, config_only=None) -> dict:
     """Table defaults < config file < explicitly passed flags.
 
     Every flag defaults to None, so None alone means "not passed"; a
     `--no-...` flag can switch off a `true` from the config file.
-    `config_only` names extra keys the config file may set.
+    `config_only` is a table of extra keys the config file may set.
     """
     resolved = {key: spec[1] for key, spec in params.items()}
     if args.config:
         file_cfg = _load_config_file(args.config)
-        unknown = set(file_cfg) - set(params) - config_only
+        accepted = {**(config_only or {}), **params}
+        unknown = set(file_cfg) - set(accepted)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        for key, value in file_cfg.items():
+            kind, default = accepted[key][:2]
+            if not _fits(value, kind, default):
+                raise ConfigError(
+                    f"config field {key} must be {_expected(kind, default)}, "
+                    f"not {json.dumps(value)}"
+                )
         resolved.update(file_cfg)
     for key in params:
         value = getattr(args, key)
@@ -202,11 +228,14 @@ def _gen_config(resolved: dict, scene_seed: int) -> GenConfig:
     overrides = {
         name: tuple(value) if isinstance(value, list) else value
         for name, value in resolved.items()
-        if name in GEN_CONFIG_KEYS
+        if name in GEN_CONFIG_PARAMS
     }
-    return GenConfig(
-        rng_seed=scene_seed, points_per_scene=resolved["points"], **overrides
-    )
+    try:
+        return GenConfig(
+            rng_seed=scene_seed, points_per_scene=resolved["points"], **overrides
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _run_jobs(func, tasks: list, jobs: int) -> list:
@@ -230,9 +259,10 @@ def _generate_one(task) -> dict:
 
 
 def cmd_generate(args) -> int:
-    resolved = _resolve(args, GENERATE_PARAMS, GEN_CONFIG_KEYS)
+    resolved = _resolve(args, GENERATE_PARAMS, GEN_CONFIG_PARAMS)
     _require(resolved, "seed", "generate")
     _require_at_least_one(resolved, "count", "jobs")
+    _gen_config(resolved, resolved["seed"])  # bad values stop before any output
     out = _prepare_out_dir(resolved, "generate")
 
     tasks = [(resolved, i, str(out)) for i in range(resolved["count"])]
@@ -309,23 +339,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _cluster_params(resolved: dict) -> ClusterParams:
-    return ClusterParams(
-        bandwidth=resolved["bandwidth"], min_points=resolved["min_points"]
-    )
-
-
-def _ransac_params(resolved: dict) -> RansacParams:
-    return RansacParams(
-        max_iterations=resolved["ransac_iterations"],
-        inlier_threshold=resolved["inlier_threshold"],
-        rng_seed=resolved["seed"],
-        min_inlier_fraction=resolved.get(
-            "min_inlier_fraction", RansacParams.min_inlier_fraction
-        ),
-    )
-
-
 def prediction_to_dict(pred: InstancePrediction) -> dict:
     result = pred.result
     record = InstanceRecord(
@@ -370,9 +383,16 @@ def _infer_one(task) -> str:
     else:
         pred = forward(weights, scene.points)
 
-    instances = run_scene_pipeline(
-        scene.points, pred, _cluster_params(resolved), _ransac_params(resolved)
+    cluster = ClusterParams(
+        bandwidth=resolved["bandwidth"], min_points=resolved["min_points"]
     )
+    ransac = RansacParams(
+        max_iterations=resolved["ransac_iterations"],
+        inlier_threshold=resolved["inlier_threshold"],
+        rng_seed=resolved["seed"],
+        min_inlier_fraction=resolved["min_inlier_fraction"],
+    )
+    instances = run_scene_pipeline(scene.points, pred, cluster, ransac)
     name = Path(scene_path).name.replace("scene_", "pred_")
     payload = {
         "version": PRED_SCHEMA_VERSION,
@@ -451,33 +471,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    resolved = _resolve(args, BENCH_PARAMS)
-    data = _require(resolved, "data", "bench")
-    out = _prepare_out_dir(resolved, "bench")
-
-    scenes = [load_scene(p) for p in _scene_paths(data)]
-    prepared = [
-        (scene.points, oracle_predict(scene, OracleNoise(rng_seed=resolved["seed"])))
-        for scene in scenes
-    ]
-    cluster_params = _cluster_params(resolved)
-    ransac_params = _ransac_params(resolved)
-
-    def backend(item):
-        points, pred = item
-        return run_scene_pipeline(points, pred, cluster_params, ransac_params)
-
-    report = benchmark_throughput(backend, prepared, runs=resolved["runs"])
-    with open(out / "bench.json", "w") as fh:
-        json.dump(report, fh, indent=2)
-    print(
-        f"{report['hz']:.1f} scenes/s "
-        f"({report['median_seconds_per_scene'] * 1e3:.2f} ms/scene median)"
-    )
-    return 0
-
-
 def _add_flags(parser: argparse.ArgumentParser, params: dict) -> None:
     parser.add_argument("--config", help="JSON config file; flags override it")
     for key, (kind, _default, *help_) in params.items():
@@ -502,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("train", cmd_train, TRAIN_PARAMS, "train the point-wise predictor"),
         ("infer", cmd_infer, INFER_PARAMS, "predict part poses for scenes"),
         ("eval", cmd_eval, EVAL_PARAMS, "score predictions against ground truth"),
-        ("bench", cmd_bench, BENCH_PARAMS, "time the geometry back-end"),
     ):
         command = sub.add_parser(name, help=help_)
         _add_flags(command, params)

@@ -115,6 +115,19 @@ class GenConfig:
             raise ValueError("points_per_scene must be >= 512")
         if self.objects_per_scene < 1:
             raise ValueError("objects_per_scene must be >= 1")
+        for name in ("drawer_count", "lid_count", "handle_count"):
+            low, high = getattr(self, name)
+            if not 0 <= low <= high:
+                raise ValueError(f"{name} must be (low, high) with 0 <= low <= high")
+        for name in (
+            "body_extents_range",
+            "camera_distance_range",
+            "camera_elevation_range_deg",
+            "camera_azimuth_range_deg",
+        ):
+            low, high = getattr(self, name)
+            if not low <= high:
+                raise ValueError(f"{name} must be (low, high) with low <= high")
 
 
 @dataclass(frozen=True)

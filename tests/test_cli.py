@@ -1,3 +1,4 @@
+import argparse
 import base64
 import io
 import json
@@ -7,7 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from yoeo.cli import GEN_CONFIG_KEYS, PRED_SCHEMA_VERSION, main, prediction_to_dict
+from yoeo.cli import (
+    GEN_CONFIG_PARAMS,
+    PRED_SCHEMA_VERSION,
+    build_parser,
+    main,
+    prediction_to_dict,
+)
 from yoeo.network import (
     OracleNoise,
     TrainConfig,
@@ -147,6 +154,21 @@ class TestGenerate:
         assert code != 0
         err = capsys.readouterr().err
         assert "line" in err and "column" in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("drawer_count", [3, 1]), ("handle_count", [-1, 1]),
+         ("body_extents_range", [0.9, 0.1]), ("camera_distance_range", [2.0, 1.2])],
+    )
+    def test_inverted_range_rejected_before_output(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "x"
+        code = run("generate", "--config", cfg, "--seed", 1, "--count", 1, "--out", out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("YOEO-E2:") and key in err
+        assert not out.exists()
 
 
 class TestTrain:
@@ -515,6 +537,93 @@ class TestInfer:
         for f in sorted(plain.glob("pred_*.json")):
             assert f.read_bytes() == (out / f.name).read_bytes()
 
+
+NOISY_ORACLE = ("--oracle", "--offset-sigma", 0.005, "--npcs-sigma", 0.01)
+
+
+def read_preds(out):
+    return {f.name: f.read_bytes() for f in sorted(out.glob("pred_*.json"))}
+
+
+def instance_counts(preds):
+    return [len(json.loads(text)["instances"]) for text in preds.values()]
+
+
+@pytest.fixture(scope="module")
+def noisy_oracle_preds(tmp_path_factory):
+    root = tmp_path_factory.mktemp("noisy")
+    data = generate(root, count=4, points=768)
+    preds = root / "preds"
+    assert run("infer", "--data", data, *NOISY_ORACLE, "--out", preds) == 0
+    return data, read_preds(preds)
+
+
+@pytest.mark.parametrize(
+    "flag, value, effect",
+    [
+        ("--min-points", 100000, "none"),  # above every part's point count
+        ("--bandwidth", 1e-6, "none"),  # no two noisy votes join
+        ("--inlier-threshold", 1e-9, "none"),  # no noisy residual is that small
+        ("--min-inlier-fraction", 1.0, "fewer"),  # some noisy part has outliers
+        ("--ransac-iterations", 1, "changed"),
+    ],
+)
+def test_infer_back_end_flag_reaches_the_back_end(
+    tmp_path, noisy_oracle_preds, flag, value, effect
+):
+    data, base = noisy_oracle_preds
+    out = tmp_path / "p"
+    assert run("infer", "--data", data, *NOISY_ORACLE, flag, value, "--out", out) == 0
+    preds = read_preds(out)
+    assert preds.keys() == base.keys() and preds != base
+    counts, base_counts = instance_counts(preds), instance_counts(base)
+    if effect == "none":
+        assert counts == [0] * len(base) and sum(base_counts) > 0
+    elif effect == "fewer":
+        assert sum(counts) < sum(base_counts)
+
+
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("generate", {"count": "3"}, "count"),
+        ("generate", {"drawer_count": 5}, "drawer_count"),
+        ("generate", {"drawer_count": [1, 2.0]}, "drawer_count"),
+        ("generate", {"body_extents_range": [0.3]}, "body_extents_range"),
+        ("generate", {"partial_view": "no"}, "partial_view"),
+        ("generate", {"min_part_points": True}, "min_part_points"),
+        ("generate", {"jobs": None}, "jobs"),
+        ("train", {"freeze": ["sem", "heads"]}, "freeze"),
+        ("train", {"freeze": "sem"}, "freeze"),
+        ("train", {"learning_rate": "0.1"}, "learning_rate"),
+        ("infer", {"ransac_iterations": 2.5}, "ransac_iterations"),
+        ("infer", {"oracle": 1}, "oracle"),
+        ("infer", {"data": 7}, "data"),
+        ("eval", {"weights": False}, "weights"),
+    ],
+)
+def test_config_value_of_wrong_type_rejected(tmp_path, capsys, command, config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "x"
+    assert run(command, "--config", cfg, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("YOEO-E2:") and f"config field {key} " in err
+    assert not out.exists()
+
+
+def test_config_value_of_right_type_accepted(tmp_path):
+    # An int fits a float key and a range of floats; null fits a None default.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"body_extents_range": [0, 1], "export_ply": False}))
+    out = generate(tmp_path, count=1, points=512, extra=("--config", cfg))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["body_extents_range"] == [0, 1]
+    cfg.write_text(json.dumps({"weights": None, "offset_sigma": 0, "bandwidth": 1}))
+    assert run("infer", "--config", cfg, "--data", out, "--oracle",
+               "--out", tmp_path / "p") == 0
+
+
 class TestEval:
     def test_perfect_oracle_scores_full_accuracy(self, tmp_path, capsys):
         data = generate(tmp_path, count=3)
@@ -634,29 +743,22 @@ class TestEval:
         assert "unknown config fields" in capsys.readouterr().err
 
 
-class TestBench:
-    def test_bench_reports_positive_throughput(self, tmp_path):
-        data = generate(tmp_path, count=10, points=512)
-        out = tmp_path / "bench"
-        assert run("bench", "--data", data, "--out", out, "--runs", 2) == 0
-        report = json.loads((out / "bench.json").read_text())
-        assert report["hz"] > 0
-        assert report["scenes"] == 10
-
-    def test_bench_requires_ten_scenes(self, tmp_path, capsys):
-        data = generate(tmp_path, count=3)
-        code = run("bench", "--data", data, "--out", tmp_path / "b", "--runs", 1)
-        assert code != 0
-        assert "YOEO-E" in capsys.readouterr().err
-
-
 def test_readme_lists_the_generate_config_keys():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     start = readme.index("`generate` also takes the `GenConfig` fields")
     sentence = readme[start:readme.index(";", start)]
     listed = re.findall(r"`(\w+)`", sentence)[2:]  # after `generate`, `GenConfig`
     assert len(listed) == len(set(listed))
-    assert set(listed) == GEN_CONFIG_KEYS
+    assert set(listed) == set(GEN_CONFIG_PARAMS)
+
+
+def test_readme_names_only_real_subcommands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (subparsers,) = [action for action in build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    named = {word for words in re.findall(r"\byoeo (\w+(?: / \w+)*)", readme)
+             for word in words.split(" / ")}
+    assert named and named <= set(subparsers.choices)
 
 
 @pytest.fixture(scope="module")
@@ -668,7 +770,7 @@ def roundtrip_inputs(tmp_path_factory):
     return data, preds
 
 
-@pytest.mark.parametrize("command", ["generate", "train", "infer", "eval", "bench"])
+@pytest.mark.parametrize("command", ["generate", "train", "infer", "eval"])
 def test_resolved_config_round_trips(tmp_path, roundtrip_inputs, command):
     data, preds = roundtrip_inputs
     argv = {
@@ -676,9 +778,8 @@ def test_resolved_config_round_trips(tmp_path, roundtrip_inputs, command):
         "train": ["--seed", 2, "--data", data, "--epochs", 1, "--hidden1", 8,
                   "--hidden2", 8, "--k", 4, "--freeze", "sem"],
         "infer": ["--data", data, "--oracle", "--offset-sigma", 0.002,
-                  "--min-inlier-fraction", 0.3],
+                  "--min-inlier-fraction", 0.3, "--bandwidth", 0.04],
         "eval": ["--data", data, "--preds", preds],
-        "bench": ["--data", data, "--runs", 1, "--bandwidth", 0.04],
     }[command]
     out = tmp_path / "run"
     assert run(command, *argv, "--out", out) == 0

@@ -73,6 +73,24 @@ class TestGenerateObject:
         kinds = sorted(p.kind for p in spec.parts)
         assert kinds == ["drawer", "drawer", "hinge_handle"]
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("drawer_count", (2, 1)), ("lid_count", (-1, 0)), ("handle_count", (-2, -1)),
+         ("body_extents_range", (0.6, 0.5)), ("camera_distance_range", (2.0, 1.0)),
+         ("camera_elevation_range_deg", (60.0, 15.0)),
+         ("camera_azimuth_range_deg", (360.0, 0.0)),
+         ("body_extents_range", (float("nan"), 0.5))],
+    )
+    def test_bad_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            GenConfig(**{field: value})
+
+    def test_single_value_ranges_accepted(self):
+        cfg = GenConfig(drawer_count=(0, 0), body_extents_range=(0.4, 0.4),
+                        camera_azimuth_range_deg=(90.0, 90.0))
+        spec = generate_object(3, cfg)
+        assert np.all(spec.body_extents == 0.4)
+
     def test_invalid_spec_rejected(self):
         body = np.array([0.4, 0.4, 0.4])
         part = PartSpec(
