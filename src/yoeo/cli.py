@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import dataclasses
 import json
 import sys
 import time
@@ -224,18 +225,28 @@ def _require_at_least_one(resolved: dict, *keys: str) -> None:
             raise ConfigError(f"{key} must be >= 1")
 
 
-def _gen_config(resolved: dict, scene_seed: int) -> GenConfig:
+def _checked(build, *args, **kwargs):
+    """`build(*args, **kwargs)`, with a ValueError (a value out of range) or
+    an OSError (an unreadable file) raised as ConfigError. Commands build
+    everything a run needs this way before they write any output."""
+    try:
+        return build(*args, **kwargs)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _gen_config(resolved: dict) -> GenConfig:
     overrides = {
         name: tuple(value) if isinstance(value, list) else value
         for name, value in resolved.items()
         if name in GEN_CONFIG_PARAMS
     }
-    try:
-        return GenConfig(
-            rng_seed=scene_seed, points_per_scene=resolved["points"], **overrides
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _checked(
+        GenConfig,
+        rng_seed=resolved["seed"],
+        points_per_scene=resolved["points"],
+        **overrides,
+    )
 
 
 def _run_jobs(func, tasks: list, jobs: int) -> list:
@@ -247,13 +258,13 @@ def _run_jobs(func, tasks: list, jobs: int) -> list:
 
 
 def _generate_one(task) -> dict:
-    resolved, index, out = task
-    scene_seed = resolved["seed"] + index
-    cfg = _gen_config(resolved, scene_seed)
+    base_cfg, index, ply, out = task
+    scene_seed = base_cfg.rng_seed + index
+    cfg = dataclasses.replace(base_cfg, rng_seed=scene_seed)
     scene = render_scene(generate_object(scene_seed, cfg), cfg)
     name = f"scene_{index:05d}.json"
     save_scene(scene, Path(out) / name)
-    if resolved["export_ply"]:
+    if ply:
         export_ply(scene, (Path(out) / name).with_suffix(".ply"))
     return {"file": name, "seed": scene_seed}
 
@@ -262,10 +273,11 @@ def cmd_generate(args) -> int:
     resolved = _resolve(args, GENERATE_PARAMS, GEN_CONFIG_PARAMS)
     _require(resolved, "seed", "generate")
     _require_at_least_one(resolved, "count", "jobs")
-    _gen_config(resolved, resolved["seed"])  # bad values stop before any output
+    cfg = _gen_config(resolved)
     out = _prepare_out_dir(resolved, "generate")
 
-    tasks = [(resolved, i, str(out)) for i in range(resolved["count"])]
+    ply = resolved["export_ply"]
+    tasks = [(cfg, i, ply, str(out)) for i in range(resolved["count"])]
     entries = _run_jobs(_generate_one, tasks, resolved["jobs"])
 
     manifest_cfg = {
@@ -295,15 +307,14 @@ def cmd_train(args) -> int:
     resolved = _resolve(args, TRAIN_PARAMS)
     seed = _require(resolved, "seed", "train")
     data = _require(resolved, "data", "train")
-    out = _prepare_out_dir(resolved, "train")
-
-    dataset = [scene_to_sample(load_scene(p)) for p in _scene_paths(data)]
-    params = init_params(
+    params = _checked(
+        init_params,
         hidden=(resolved["hidden1"], resolved["hidden2"]),
         k=resolved["k"],
         rng_seed=seed,
     )
-    cfg = TrainConfig(
+    cfg = _checked(
+        TrainConfig,
         learning_rate=resolved["learning_rate"],
         momentum=resolved["momentum"],
         epochs=resolved["epochs"],
@@ -314,6 +325,8 @@ def cmd_train(args) -> int:
         rng_seed=seed,
         freeze=tuple(resolved["freeze"]),
     )
+    dataset = [scene_to_sample(load_scene(p)) for p in _scene_paths(data)]
+    out = _prepare_out_dir(resolved, "train")
 
     weights_path = out / "weights.bin"
     rows = []
@@ -370,28 +383,12 @@ def prediction_from_dict(data) -> InstancePrediction:
 
 
 def _infer_one(task) -> str:
-    resolved, weights, scene_path, out = task
+    noise, weights, cluster, ransac, scene_path, out = task
     scene = load_scene(scene_path)
-    if resolved["oracle"]:
-        noise = OracleNoise(
-            offset_sigma=resolved["offset_sigma"],
-            npcs_sigma=resolved["npcs_sigma"],
-            semantic_flip_prob=resolved["flip_prob"],
-            rng_seed=resolved["seed"],
-        )
+    if weights is None:
         pred = oracle_predict(scene, noise)
     else:
         pred = forward(weights, scene.points)
-
-    cluster = ClusterParams(
-        bandwidth=resolved["bandwidth"], min_points=resolved["min_points"]
-    )
-    ransac = RansacParams(
-        max_iterations=resolved["ransac_iterations"],
-        inlier_threshold=resolved["inlier_threshold"],
-        rng_seed=resolved["seed"],
-        min_inlier_fraction=resolved["min_inlier_fraction"],
-    )
     instances = run_scene_pipeline(scene.points, pred, cluster, ransac)
     name = Path(scene_path).name.replace("scene_", "pred_")
     payload = {
@@ -417,11 +414,28 @@ def cmd_infer(args) -> int:
         if ignored:
             raise ConfigError(f"oracle noise ({', '.join(ignored)}) needs --oracle")
     _require_at_least_one(resolved, "jobs")
+    noise = _checked(
+        OracleNoise,
+        offset_sigma=resolved["offset_sigma"],
+        npcs_sigma=resolved["npcs_sigma"],
+        semantic_flip_prob=resolved["flip_prob"],
+        rng_seed=resolved["seed"],
+    )
+    weights = None if resolved["oracle"] else _checked(load_weights, resolved["weights"])
+    cluster = _checked(
+        ClusterParams, bandwidth=resolved["bandwidth"], min_points=resolved["min_points"]
+    )
+    ransac = _checked(
+        RansacParams,
+        max_iterations=resolved["ransac_iterations"],
+        inlier_threshold=resolved["inlier_threshold"],
+        rng_seed=resolved["seed"],
+        min_inlier_fraction=resolved["min_inlier_fraction"],
+    )
+    paths = _scene_paths(data)
     out = _prepare_out_dir(resolved, "infer")
 
-    paths = _scene_paths(data)
-    weights = None if resolved["oracle"] else load_weights(resolved["weights"])
-    tasks = [(resolved, weights, str(p), str(out)) for p in paths]
+    tasks = [(noise, weights, cluster, ransac, str(p), str(out)) for p in paths]
     names = _run_jobs(_infer_one, tasks, resolved["jobs"])
     print(f"wrote {len(names)} prediction files to {out}")
     return 0
@@ -431,7 +445,6 @@ def cmd_eval(args) -> int:
     resolved = _resolve(args, EVAL_PARAMS)
     data = _require(resolved, "data", "eval")
     preds_dir = _require(resolved, "preds", "eval")
-    out = _prepare_out_dir(resolved, "eval")
 
     scenes, predictions = [], []
     for scene_path in _scene_paths(data):
@@ -461,7 +474,8 @@ def cmd_eval(args) -> int:
 
     param_count = None
     if resolved["weights"]:
-        param_count = load_weights(resolved["weights"]).num_parameters()
+        param_count = _checked(load_weights, resolved["weights"]).num_parameters()
+    out = _prepare_out_dir(resolved, "eval")
     report = evaluate_scenes(scenes, predictions, param_count=param_count)
     with open(out / "report.json", "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)

@@ -132,11 +132,12 @@ def umeyama_align(src: np.ndarray, dst: np.ndarray) -> Sim3Transform:
     """Closed-form least-squares alignment of corresponding point sets.
 
     Returns the transform minimizing sum_i ||dst_i - (s R src_i + t)||^2
-    over SIM(3). The smallest-singular-value sign correction keeps
-    det(R) = +1 even for mirrored inputs.
+    over SIM(3). This is the one-set case of `_umeyama_batch`, the solver
+    RANSAC's minimal samples use, so both share its sign correction
+    (det(R) = +1 even for mirrored inputs) and its degeneracy rule.
 
-    Raises DegenerateInput for fewer than 3 points or (near-)collinear
-    source points.
+    Raises DegenerateInput for fewer than 3 points, or when source or
+    target points are (near-)collinear or coincident.
     """
     x = np.asarray(src, dtype=np.float64).reshape(-1, 3)
     y = np.asarray(dst, dtype=np.float64).reshape(-1, 3)
@@ -146,29 +147,10 @@ def umeyama_align(src: np.ndarray, dst: np.ndarray) -> Sim3Transform:
     if n < 3:
         raise DegenerateInput(f"need at least 3 correspondences, got {n}")
 
-    mu_x = x.sum(axis=0) / n
-    mu_y = y.sum(axis=0) / n
-    xc = x - mu_x
-    yc = y - mu_y
-
-    # Rank of xc from its 3x3 Gram spectrum (cheaper than an SVD of xc).
-    lam = np.linalg.eigvalsh(xc.T @ xc)
-    s0 = np.sqrt(max(lam[2], 0.0))
-    s1 = np.sqrt(max(lam[1], 0.0))
-    if s0 == 0.0 or s1 <= n * np.finfo(np.float64).eps * s0:
-        raise DegenerateInput("source points are collinear")
-
-    cov = yc.T @ xc / n
-    u, d, vt = np.linalg.svd(cov)
-    sign = np.ones(3)
-    if np.linalg.det(u @ vt) < 0.0:
-        sign[2] = -1.0
-    rotation = (u * sign) @ vt
-
-    var_x = (xc * xc).sum() / n
-    scale = float((d * sign).sum() / var_x)
-    translation = mu_y - scale * rotation @ mu_x
-    return Sim3Transform(scale, rotation, translation)
+    scale, rotation, translation, valid = _umeyama_batch(x[None], y[None])
+    if not valid[0]:
+        raise DegenerateInput("source or target points are collinear or coincident")
+    return Sim3Transform(float(scale[0]), rotation[0], translation[0])
 
 
 # Points per minimal sample. 4 keeps minimal SIM(3) fits well-conditioned;
@@ -195,10 +177,12 @@ class RansacParams:
 
 
 def _umeyama_batch(src: np.ndarray, dst: np.ndarray):
-    """Vectorized minimal-sample fits: (B, k, 3) x (B, k, 3) -> s, R, t, valid.
+    """Vectorized Umeyama fits: (B, k, 3) x (B, k, 3) -> s, R, t, valid.
 
-    A collinear source (or target) sample leaves the cross-covariance
-    rank-deficient, so degeneracy is gated on its singular-value ratio.
+    The one SIM(3) solver: RANSAC's minimal samples come in as a batch,
+    `umeyama_align`'s refit as a batch of one. A collinear source (or
+    target) set leaves the cross-covariance rank-deficient, so a fit is
+    valid only when its second singular value exceeds 1e-9 of the first.
     """
     k = src.shape[1]
     mu_x = src.sum(axis=1, keepdims=True) / k

@@ -71,9 +71,15 @@ def init_params(
     k: int = DEFAULT_K,
     rng_seed: int = 0,
 ) -> ModelParams:
-    """Gaussian init scaled by 1/sqrt(fan_in); biases start at zero."""
-    rng = np.random.default_rng(rng_seed)
+    """Gaussian init scaled by 1/sqrt(fan_in); biases start at zero.
+
+    Raises ValueError for a layer width or k below 1, the layouts
+    `load_weights` rejects.
+    """
     h1, h2 = hidden
+    if min(h1, h2, k) < 1:
+        raise ValueError(f"hidden widths and k must be >= 1, got {hidden} and {k}")
+    rng = np.random.default_rng(rng_seed)
     feat = 6
 
     def layer(fan_in, fan_out):

@@ -743,6 +743,35 @@ class TestEval:
         assert "unknown config fields" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["infer", "--data", "{data}", "--oracle",
+                      "--ransac-iterations", 0], id="infer-ransac-iterations-0"),
+        pytest.param(["infer", "--data", "{empty}", "--oracle"], id="infer-no-scenes"),
+        pytest.param(["infer", "--data", "{data}", "--weights", "{missing}"],
+                     id="infer-missing-weights"),
+        pytest.param(["eval", "--data", "{data}", "--preds", "{missing}"],
+                     id="eval-missing-preds"),
+        pytest.param(["train", "--epochs", 0], id="train-epochs-0"),
+        pytest.param(["train", "--hidden1", 0], id="train-hidden1-0"),
+        pytest.param(["train", "--hidden1", -2], id="train-hidden1-negative"),
+        pytest.param(["train", "--k", 0], id="train-k-0"),
+    ],
+)
+def test_bad_run_rejected_before_output(tmp_path, capsys, roundtrip_inputs, argv):
+    data, _ = roundtrip_inputs
+    (tmp_path / "empty").mkdir()
+    paths = {"data": data, "empty": tmp_path / "empty", "missing": tmp_path / "nope"}
+    argv = [str(a).format(**paths) for a in argv]
+    if argv[0] == "train":
+        argv += ["--seed", 1, "--data", data, "--hidden2", 8]
+    out = tmp_path / "out"
+    assert run(*argv, "--out", out) == 1
+    assert capsys.readouterr().err.startswith("YOEO-E2:")
+    assert not out.exists()
+
+
 def test_readme_lists_the_generate_config_keys():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     start = readme.index("`generate` also takes the `GenConfig` fields")

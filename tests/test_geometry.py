@@ -102,6 +102,19 @@ class TestUmeyama:
             assert best <= res + 1e-12
 
 
+@pytest.mark.parametrize("target", ["constant", "collinear"])
+def test_umeyama_rejects_degenerate_target(target):
+    # A spread-out source does not save a fit whose target has collapsed:
+    # the cross-covariance is then rank-deficient, as for minimal samples.
+    src = np.random.default_rng(11).uniform(-1.0, 1.0, size=(20, 3))
+    if target == "constant":
+        dst = np.tile([0.2, -0.1, 0.5], (20, 1))
+    else:
+        dst = np.outer(np.linspace(-1.0, 1.0, 20), [1.0, 2.0, 3.0])
+    with pytest.raises(DegenerateInput):
+        umeyama_align(src, dst)
+
+
 def reference_ransac(src, dst, params):
     """RANSAC scored the plain way, as a reference for ransac_align.
 
