@@ -18,6 +18,7 @@ import concurrent.futures
 import csv
 import dataclasses
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -129,6 +130,15 @@ EVAL_PARAMS = {
     "weights": (str, None, "report the model's parameter count"),
 }
 
+_FLAG_KEYS = {*GENERATE_PARAMS, *TRAIN_PARAMS, *INFER_PARAMS, *EVAL_PARAMS}
+# Constructor fields that a parameter of another name sets.
+_FIELD_KEYS = {"points_per_scene": "points", "semantic_flip_prob": "flip_prob",
+               "max_iterations": "ransac_iterations"}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
 
 def _load_config_file(path: str) -> dict:
     try:
@@ -215,24 +225,30 @@ def _prepare_out_dir(resolved: dict, command: str) -> Path:
 
 def _require(resolved: dict, key: str, command: str):
     if resolved.get(key) is None:
-        raise ConfigError(f"{command} requires --{key.replace('_', '-')}")
+        raise ConfigError(f"{command} requires {_flag(key)}")
     return resolved[key]
 
 
 def _require_at_least_one(resolved: dict, *keys: str) -> None:
     for key in keys:
         if resolved[key] < 1:
-            raise ConfigError(f"{key} must be >= 1")
+            raise ConfigError(f"{_flag(key)} must be >= 1")
 
 
 def _checked(build, *args, **kwargs):
     """`build(*args, **kwargs)`, with a ValueError (a value out of range) or
-    an OSError (an unreadable file) raised as ConfigError. Commands build
-    everything a run needs this way before they write any output."""
+    an OSError (an unreadable file) raised as ConfigError that names the
+    flag behind each keyword. Commands build everything a run needs this
+    way before they write any output."""
     try:
         return build(*args, **kwargs)
     except (OSError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+        message = str(exc)
+        for field in kwargs:
+            key = _FIELD_KEYS.get(field, field)
+            if key in _FLAG_KEYS:
+                message = re.sub(rf"\b{field}\b", _flag(key), message)
+        raise ConfigError(message) from exc
 
 
 def _gen_config(resolved: dict) -> GenConfig:
@@ -307,11 +323,9 @@ def cmd_train(args) -> int:
     resolved = _resolve(args, TRAIN_PARAMS)
     seed = _require(resolved, "seed", "train")
     data = _require(resolved, "data", "train")
-    params = _checked(
-        init_params,
-        hidden=(resolved["hidden1"], resolved["hidden2"]),
-        k=resolved["k"],
-        rng_seed=seed,
+    _require_at_least_one(resolved, "hidden1", "hidden2", "k")
+    params = init_params(
+        hidden=(resolved["hidden1"], resolved["hidden2"]), k=resolved["k"], rng_seed=seed
     )
     cfg = _checked(
         TrainConfig,
@@ -364,10 +378,10 @@ def prediction_to_dict(pred: InstancePrediction) -> dict:
     }
 
 
-def prediction_from_dict(data) -> InstancePrediction:
+def prediction_from_dict(data, n_points: int) -> InstancePrediction:
     """Inverse of `prediction_to_dict`; raises SceneFormatError for a
-    malformed record, or for `point_indices` that is not a list of
-    integers or `inliers` that is not one integer."""
+    malformed record, `point_indices` that is not a list of integers in
+    [0, n_points) or `inliers` that is not one integer."""
     record = record_from_dict(data)
     point_indices = _as_array(
         _get(data, "point_indices", "instance"), np.int64, "point_indices"
@@ -375,6 +389,8 @@ def prediction_from_dict(data) -> InstancePrediction:
     inliers = _as_array(_get(data, "inliers", "instance"), np.int64, "inliers")
     if point_indices.ndim != 1 or inliers.ndim != 0:
         raise SceneFormatError("point_indices must be a list and inliers a number")
+    if ((point_indices < 0) | (point_indices >= n_points)).any():
+        raise SceneFormatError(f"point_indices must lie in [0, {n_points})")
     return InstancePrediction(
         semantic_class=record.semantic_class,
         point_indices=point_indices,
@@ -465,9 +481,10 @@ def cmd_eval(args) -> int:
         if not isinstance(payload.get("instances"), list):
             raise ConfigError(f"prediction file {pred_path} has no instances list")
         scenes.append(load_scene(scene_path))
+        n_points = len(scenes[-1].points)
         try:
             predictions.append(
-                [prediction_from_dict(item) for item in payload["instances"]]
+                [prediction_from_dict(item, n_points) for item in payload["instances"]]
             )
         except SceneFormatError as exc:
             raise ConfigError(f"prediction file {pred_path}: {exc}") from exc
@@ -495,7 +512,7 @@ def _add_flags(parser: argparse.ArgumentParser, params: dict) -> None:
             options.update(action="append", choices=kind)
         else:
             options["type"] = kind
-        parser.add_argument("--" + key.replace("_", "-"), **options)
+        parser.add_argument(_flag(key), **options)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -32,16 +32,29 @@ from .synthetic import Scene, gt_offsets
 WEIGHTS_MAGIC = b"YOEO"
 WEIGHTS_VERSION = 1
 
-# Serialization order; k rides along as a trailing 1x1 matrix.
-_LAYER_NAMES = (
-    "w1", "b1", "w2", "b2",
-    "w_sem", "b_sem", "w_off", "b_off", "w_npcs", "b_npcs",
-)
-
 _FLOOR = 1e-12  # probability floor before log()
+
+# Focal-loss weight and focusing exponent: the defaults of Lin et al.,
+# "Focal Loss for Dense Object Detection" (ICCV 2017).
+FOCAL_ALPHA = 0.25
+FOCAL_GAMMA = 2.0
 
 DEFAULT_HIDDEN = (64, 128)  # widths of the two shared encoder layers
 DEFAULT_K = 16  # neighbors in the k-NN feature
+
+
+def _layer_shapes(h1: int, h2: int) -> dict[str, tuple[int, int]]:
+    """(rows, cols) of each stored matrix, in serialization order; the
+    weights file stores k after them as a trailing 1x1 matrix."""
+    return {
+        "w1": (6, h1), "b1": (1, h1), "w2": (h1, h2), "b2": (1, h2),
+        "w_sem": (h2, NUM_CLASSES), "b_sem": (1, NUM_CLASSES),
+        "w_off": (h2, 3), "b_off": (1, 3),
+        "w_npcs": (h2, 3 * NUM_BINS), "b_npcs": (1, 3 * NUM_BINS),
+    }
+
+
+_LAYER_NAMES = tuple(_layer_shapes(1, 1))
 
 
 @dataclass
@@ -80,19 +93,12 @@ def init_params(
     if min(h1, h2, k) < 1:
         raise ValueError(f"hidden widths and k must be >= 1, got {hidden} and {k}")
     rng = np.random.default_rng(rng_seed)
-    feat = 6
-
-    def layer(fan_in, fan_out):
-        return rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out))
-
-    return ModelParams(
-        k=k,
-        w1=layer(feat, h1), b1=np.zeros(h1),
-        w2=layer(h1, h2), b2=np.zeros(h2),
-        w_sem=layer(h2, NUM_CLASSES), b_sem=np.zeros(NUM_CLASSES),
-        w_off=layer(h2, 3), b_off=np.zeros(3),
-        w_npcs=layer(h2, 3 * NUM_BINS), b_npcs=np.zeros(3 * NUM_BINS),
-    )
+    arrays = {
+        name: rng.normal(0.0, 1.0 / np.sqrt(rows), size=(rows, cols))
+        if name.startswith("w") else np.zeros(cols)
+        for name, (rows, cols) in _layer_shapes(h1, h2).items()
+    }
+    return ModelParams(k=k, **arrays)
 
 
 def point_features(points: np.ndarray, k: int) -> np.ndarray:
@@ -168,30 +174,15 @@ def forward(params: ModelParams, points: np.ndarray) -> PerPointPrediction:
     )
 
 
-@dataclass(frozen=True)
-class FocalLossParams:
-    alpha: float = 0.25
-    gamma: float = 2.0
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if self.gamma < 0.0:
-            raise ValueError("gamma must be >= 0")
-
-
-def loss_semantic(
-    semantic_probs: np.ndarray, labels: np.ndarray, params: FocalLossParams
-) -> float:
+def loss_semantic(semantic_probs: np.ndarray, labels: np.ndarray) -> float:
     """Focal classification loss, mean over points.
 
     Per point, q is the predicted probability of the true class and the
-    contribution is -alpha * (1 - q)^gamma * log(q), with q floored at
-    1e-12 before the log. gamma = 0 reduces to alpha-weighted
-    cross-entropy.
+    contribution is -FOCAL_ALPHA * (1 - q)^FOCAL_GAMMA * log(q), with q
+    floored at 1e-12 before the log.
     """
     probs = np.asarray(semantic_probs, dtype=np.float64)
-    return _semantic_grad(probs, np.asarray(labels), params)[0]
+    return _semantic_grad(probs, np.asarray(labels))[0]
 
 
 def loss_center(
@@ -217,7 +208,7 @@ def loss_npcs(
     return _npcs_grad(logits, np.asarray(gt_bins), mask)[0]
 
 
-def _semantic_grad(probs, labels, focal: FocalLossParams):
+def _semantic_grad(probs, labels):
     """Focal loss and its gradient w.r.t. the logits behind `probs`."""
     n = probs.shape[0]
     y = np.asarray(labels)
@@ -225,17 +216,14 @@ def _semantic_grad(probs, labels, focal: FocalLossParams):
     q = probs[rows, y]
     qf = np.maximum(q, _FLOOR)
     one_minus = np.clip(1.0 - q, 0.0, 1.0)
-    loss = float((-focal.alpha * one_minus**focal.gamma * np.log(qf)).mean())
+    loss = float((-FOCAL_ALPHA * one_minus**FOCAL_GAMMA * np.log(qf)).mean())
 
     live = q > _FLOOR  # the log() floor kills the 1/q term below it
-    if focal.gamma == 0.0:
-        dq = -focal.alpha / qf * live
-    else:
-        om = np.maximum(one_minus, 1e-15)
-        dq = -focal.alpha * (
-            -focal.gamma * om ** (focal.gamma - 1.0) * np.log(qf)
-            + one_minus**focal.gamma / qf * live
-        )
+    om = np.maximum(one_minus, 1e-15)
+    dq = -FOCAL_ALPHA * (
+        -FOCAL_GAMMA * om ** (FOCAL_GAMMA - 1.0) * np.log(qf)
+        + one_minus**FOCAL_GAMMA / qf * live
+    )
     onehot = np.zeros_like(probs)
     onehot[rows, y] = 1.0
     dlogits = dq[:, None] * q[:, None] * (onehot - probs) / n
@@ -279,14 +267,21 @@ class TrainSample:
     part_mask: np.ndarray
 
 
+def _part_targets(scene: Scene) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(part mask, centroid offsets, canonical coordinates) from ground
+    truth. Background rows, and any NaN in a part row, read 0.5."""
+    part = scene.gt_semantic != 0
+    npcs = np.where(part[:, None], np.nan_to_num(scene.gt_npcs, nan=0.5), 0.5)
+    return part, gt_offsets(scene), npcs
+
+
 def scene_to_sample(scene: Scene) -> TrainSample:
     """Supervision targets from ground truth; background is masked out."""
-    mask = scene.gt_semantic != 0
-    npcs = np.where(mask[:, None], np.nan_to_num(scene.gt_npcs, nan=0.5), 0.5)
+    mask, offsets, npcs = _part_targets(scene)
     return TrainSample(
         points=scene.points,
         labels=scene.gt_semantic,
-        offsets=gt_offsets(scene),
+        offsets=offsets,
         bins=encode_bins(npcs),
         part_mask=mask,
     )
@@ -308,7 +303,7 @@ class TrainConfig:
         if not (self.learning_rate > 0 and self.epochs >= 1 and self.batch_scenes >= 1):
             raise ValueError("learning_rate, epochs, batch_scenes must be positive")
         if min(self.w_sem, self.w_center, self.w_npcs) < 0:
-            raise ValueError("loss weights must be >= 0")
+            raise ValueError("w_sem, w_center and w_npcs must be >= 0")
         bad = set(self.freeze) - {"sem", "center", "npcs"}
         if bad:
             raise ValueError(f"unknown heads in freeze: {sorted(bad)}")
@@ -349,9 +344,7 @@ def scene_gradients(
     cache = _forward_cache(params, sample.points, features)
     mask = np.asarray(sample.part_mask, dtype=bool)
 
-    sem_loss, d_sem = _semantic_grad(
-        _softmax(cache["sem_logits"]), sample.labels, FocalLossParams()
-    )
+    sem_loss, d_sem = _semantic_grad(_softmax(cache["sem_logits"]), sample.labels)
     if mask.any():
         center_loss, d_off = _center_grad(cache["offsets"], sample.offsets, mask)
         npcs_loss, d_npcs = _npcs_grad(cache["npcs_logits"], sample.bins, mask)
@@ -448,7 +441,7 @@ class OracleNoise:
 
     def __post_init__(self):
         if self.offset_sigma < 0 or self.npcs_sigma < 0:
-            raise ValueError("sigmas must be >= 0")
+            raise ValueError("offset_sigma and npcs_sigma must be >= 0")
         if not 0.0 <= self.semantic_flip_prob <= 1.0:
             raise ValueError("semantic_flip_prob must be in [0, 1]")
 
@@ -463,6 +456,7 @@ def oracle_predict(scene, noise: OracleNoise = OracleNoise()) -> PerPointPredict
     """
     rng = np.random.default_rng(noise.rng_seed)
     n = scene.points.shape[0]
+    part, offsets, npcs = _part_targets(scene)
 
     labels = scene.gt_semantic.astype(np.int64).copy()
     if noise.semantic_flip_prob > 0.0:
@@ -472,12 +466,8 @@ def oracle_predict(scene, noise: OracleNoise = OracleNoise()) -> PerPointPredict
     probs = np.zeros((n, NUM_CLASSES))
     probs[np.arange(n), labels] = 1.0
 
-    offsets = gt_offsets(scene)
     if noise.offset_sigma > 0.0:
         offsets = offsets + rng.normal(0.0, noise.offset_sigma, size=(n, 3))
-
-    part = scene.gt_semantic != 0
-    npcs = np.where(part[:, None], np.nan_to_num(scene.gt_npcs), 0.5)
     if noise.npcs_sigma > 0.0:
         npcs = npcs + rng.normal(0.0, noise.npcs_sigma, size=(n, 3))
     bins = encode_bins(npcs)
@@ -491,10 +481,7 @@ def save_weights(params: ModelParams, path) -> None:
     """Little-endian binary: magic, u32 version, u32 layer count, then
     per layer (u32 rows, u32 cols, f64 row-major). Biases are stored as
     single-row matrices and k as a trailing 1x1 entry."""
-    matrices = []
-    for name in _LAYER_NAMES:
-        arr = getattr(params, name)
-        matrices.append(arr.reshape(1, -1) if arr.ndim == 1 else arr)
+    matrices = [np.atleast_2d(getattr(params, name)) for name in _LAYER_NAMES]
     matrices.append(np.array([[float(params.k)]]))
 
     with open(path, "wb") as fh:
@@ -546,24 +533,17 @@ def load_weights(path) -> ModelParams:
     for name, arr in named.items():
         if not np.isfinite(arr).all():
             raise WeightFormatError(f"layer {name} holds non-finite weights")
-    for name in ("b1", "b2", "b_sem", "b_off", "b_npcs"):
-        named[name] = named[name].reshape(-1)
+        if name.startswith("b"):
+            named[name] = arr.reshape(-1)
     return ModelParams(k=int(matrices[-1][0, 0]), **named)
 
 
 def _check_layout(named: dict, k_matrix: np.ndarray) -> None:
-    """Raise WeightFormatError unless the stored matrices chain into the
-    architecture: w1 (6, h1), w2 (h1, h2), heads (h2, NUM_CLASSES | 3 |
-    3 * NUM_BINS), each bias a (1, width) row, every width >= 1 and k a 1x1
-    integer >= 1."""
+    """Raise WeightFormatError unless the stored matrices have the shapes
+    of `_layer_shapes` for the widths of w1 and w2, every width is >= 1
+    and k is a 1x1 integer >= 1."""
     h1, h2 = named["w1"].shape[1], named["w2"].shape[1]
-    expected = {
-        "w1": (6, h1), "b1": (1, h1), "w2": (h1, h2), "b2": (1, h2),
-        "w_sem": (h2, NUM_CLASSES), "b_sem": (1, NUM_CLASSES),
-        "w_off": (h2, 3), "b_off": (1, 3),
-        "w_npcs": (h2, 3 * NUM_BINS), "b_npcs": (1, 3 * NUM_BINS),
-    }
-    for name, shape in expected.items():
+    for name, shape in _layer_shapes(h1, h2).items():
         if named[name].shape != shape:
             raise WeightFormatError(
                 f"layer {name} has shape {named[name].shape}, expected {shape}"

@@ -23,6 +23,7 @@ from .npcs import JointAxis, canonicalize_part, transform_axis
 from .parts import (
     ARTICULATION_LIMITS,
     KIND_TO_CLASS,
+    NUM_CLASSES,
     canonical_joint_axis,
     joint_axis_in_part_frame,
 )
@@ -598,12 +599,17 @@ def scene_from_dict(data) -> Scene:
         raise SceneFormatError(
             "gt_npcs rows must be three NaNs (background) or three finite numbers"
         )
+    semantic = _labels(_get(data, "gt_semantic", "scene"), n, "gt_semantic")
+    outside = (semantic < 0) | (semantic >= NUM_CLASSES)
+    if outside.any():
+        bad = semantic[outside][0]
+        raise SceneFormatError(f"gt_semantic class {bad} is outside [0, {NUM_CLASSES})")
     instances = _get(data, "instances", "scene")
     if not isinstance(instances, list):
         raise SceneFormatError("scene instances must be a list")
     return Scene(
         points=points,
-        gt_semantic=_labels(_get(data, "gt_semantic", "scene"), n, "gt_semantic"),
+        gt_semantic=semantic,
         gt_instance=_labels(_get(data, "gt_instance", "scene"), n, "gt_instance"),
         gt_npcs=npcs,
         instances=tuple(record_from_dict(item) for item in instances),

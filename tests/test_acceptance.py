@@ -32,7 +32,8 @@ from yoeo.metrics import (
     evaluate_scenes,
 )
 from yoeo.network import (
-    FocalLossParams,
+    FOCAL_ALPHA,
+    FOCAL_GAMMA,
     OracleNoise,
     TrainConfig,
     TrainSample,
@@ -204,15 +205,14 @@ def brute_force_npcs(logits, bins, mask):
 
 def test_c05_loss_and_gradient_fidelity():
     rng = np.random.default_rng(105)
-    focal = FocalLossParams()
     for _ in range(20):
         n = int(rng.integers(5, 30))
         logits = rng.normal(size=(n, 4))
         probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         labels = rng.integers(0, 4, size=n)
         assert abs(
-            loss_semantic(probs, labels, focal)
-            - brute_force_focal(probs, labels, focal.alpha, focal.gamma)
+            loss_semantic(probs, labels)
+            - brute_force_focal(probs, labels, FOCAL_ALPHA, FOCAL_GAMMA)
         ) < 1e-9
 
         offsets = rng.normal(size=(n, 3))

@@ -374,6 +374,20 @@ class TestInfer:
             assert err.startswith("YOEO-E19:")
             assert "regenerate it with `yoeo generate`" in err
 
+    @pytest.mark.parametrize("label", [7, 4, -1])
+    def test_semantic_label_outside_classes_rejected(self, tmp_path, capsys, label):
+        data = generate(tmp_path, count=1)
+        path = data / "scene_00000.json"
+        scene = json.loads(path.read_text())
+        scene["gt_semantic"][0] = label
+        path.write_text(json.dumps(scene))
+        for command in (["infer", "--oracle"], ["train", "--seed", 1]):
+            code = run(*command, "--data", data, "--out", tmp_path / "p")
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("YOEO-E19:")
+            assert f"gt_semantic class {label} is outside [0, 4)" in err
+
     def test_corrupt_weights_magic_error(self, tmp_path, capsys):
         data = generate(tmp_path, count=1)
         bad = tmp_path / "bad.bin"
@@ -721,6 +735,24 @@ class TestEval:
         assert err.startswith("YOEO-E2:")
         assert str(path) in err
 
+    @pytest.mark.parametrize("index", [768, 10**6, -1, -5])
+    def test_point_index_outside_scene_rejected(self, tmp_path, capsys, index):
+        data = generate(tmp_path, count=1)
+        preds = tmp_path / "preds"
+        assert run("infer", "--data", data, "--oracle", "--out", preds) == 0
+        path = preds / "pred_00000.json"
+        payload = json.loads(path.read_text())
+        payload["instances"][-1]["point_indices"].append(index)
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "e"
+        code = run("eval", "--data", data, "--preds", preds, "--out", out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("YOEO-E2:")
+        assert str(path) in err
+        assert "point_indices must lie in [0, 768)" in err
+        assert not out.exists()
+
     def test_invalid_json_prediction_file_rejected(self, tmp_path, capsys):
         data = generate(tmp_path, count=1)
         preds = tmp_path / "preds"
@@ -769,6 +801,31 @@ def test_bad_run_rejected_before_output(tmp_path, capsys, roundtrip_inputs, argv
     out = tmp_path / "out"
     assert run(*argv, "--out", out) == 1
     assert capsys.readouterr().err.startswith("YOEO-E2:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["infer", "--oracle", "--ransac-iterations", 0], "--ransac-iterations must be >= 1"),
+        (["infer", "--oracle", "--flip-prob", 2], "--flip-prob must be in [0, 1]"),
+        (["infer", "--oracle", "--npcs-sigma", -1], "--npcs-sigma must be >= 0"),
+        (["infer", "--oracle", "--min-points", 2], "--min-points must be >= 4"),
+        (["train", "--seed", 1, "--k", 0], "--k must be >= 1"),
+        (["train", "--seed", 1, "--hidden2", -2], "--hidden2 must be >= 1"),
+        (["train", "--seed", 1, "--w-npcs", -1], "--w-npcs must be >= 0"),
+        (["generate", "--seed", 1, "--points", 100], "--points must be >= 512"),
+        (["generate", "--seed", 1, "--objects-per-scene", 0],
+         "--objects-per-scene must be >= 1"),
+    ],
+)
+def test_range_error_names_the_flag(tmp_path, capsys, roundtrip_inputs, argv, message):
+    data, _ = roundtrip_inputs
+    if argv[0] != "generate":
+        argv = [*argv, "--data", data]
+    out = tmp_path / "out"
+    assert run(*argv, "--out", out) == 1
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

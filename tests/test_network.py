@@ -10,7 +10,8 @@ from yoeo.errors import NonFiniteLoss, TooFewPoints, WeightFormatError, ZeroMask
 from yoeo.network import (
     WEIGHTS_MAGIC,
     WEIGHTS_VERSION,
-    FocalLossParams,
+    FOCAL_ALPHA,
+    FOCAL_GAMMA,
     OracleNoise,
     TrainConfig,
     TrainSample,
@@ -156,31 +157,20 @@ class TestLossSemantic:
         probs = np.zeros((6, 4))
         labels = np.array([0, 1, 2, 3, 1, 2])
         probs[np.arange(6), labels] = 1.0
-        assert loss_semantic(probs, labels, FocalLossParams()) <= 1e-9
+        assert loss_semantic(probs, labels) <= 1e-9
 
     def test_hand_evaluated_half_confidence(self):
         probs = np.array([[0.5, 0.5, 0.0, 0.0]])
-        loss = loss_semantic(probs, np.array([0]), FocalLossParams(0.25, 2.0))
+        loss = loss_semantic(probs, np.array([0]))
         assert loss == pytest.approx(0.25 * 0.25 * math.log(2.0), abs=1e-12)
-
-    def test_gamma_zero_matches_cross_entropy_oracle(self):
-        rng = np.random.default_rng(5)
-        logits = rng.normal(size=(30, 4))
-        probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
-        labels = rng.integers(0, 4, size=30)
-        ce = -np.log(probs[np.arange(30), labels]).mean()
-        loss = loss_semantic(probs, labels, FocalLossParams(alpha=1.0, gamma=0.0))
-        assert loss == pytest.approx(ce, abs=1e-9)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(6)
         logits = rng.normal(size=(25, 4))
         probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         labels = rng.integers(0, 4, size=25)
-        expected = brute_force_focal(probs, labels, 0.25, 2.0)
-        assert loss_semantic(probs, labels, FocalLossParams()) == pytest.approx(
-            expected, abs=1e-9
-        )
+        expected = brute_force_focal(probs, labels, FOCAL_ALPHA, FOCAL_GAMMA)
+        assert loss_semantic(probs, labels) == pytest.approx(expected, abs=1e-9)
 
 
 class TestLossCenter:
@@ -306,9 +296,7 @@ def reference_npcs_grad(logits, bins, mask):
 def reference_gradients(params, sample, cfg, f):
     h1, h2, sem_logits, offsets, npcs_logits = reference_heads(params, f)
     mask = sample.part_mask
-    sem_loss, d_sem = _semantic_grad(
-        reference_softmax(sem_logits), sample.labels, FocalLossParams()
-    )
+    sem_loss, d_sem = _semantic_grad(reference_softmax(sem_logits), sample.labels)
     if mask.any():
         center_loss, d_off = _center_grad(offsets, sample.offsets, mask)
         npcs_loss, d_npcs = reference_npcs_grad(npcs_logits, sample.bins, mask)
@@ -402,7 +390,7 @@ class TestInPlaceEpilogues:
         for s in (sample, self.background(sample)):
             scene_gradients(params, s, self.CFG, features)
         scene_gradients(params, sample, self.CFG)
-        loss_semantic(pred.semantic_probs, sample.labels, FocalLossParams())
+        loss_semantic(pred.semantic_probs, sample.labels)
         loss_center(pred.offsets, sample.offsets, sample.part_mask)
         loss_npcs(pred.npcs_logits, sample.bins, sample.part_mask)
 
@@ -631,6 +619,18 @@ class TestOracle:
 
         assert (decoded == encode_bins(scene.gt_npcs[part])).all()
 
+    def test_nan_part_row_reads_cube_center_as_in_training(self):
+        rng = np.random.default_rng(28)
+        scene = self.fake_scene(rng)
+        part_rows = np.flatnonzero(scene.gt_semantic != 0)[:3]
+        scene.gt_npcs[part_rows] = np.nan
+        pred = oracle_predict(scene, OracleNoise())
+        sample = scene_to_sample(scene)
+        decoded = pred.npcs_logits.argmax(axis=2)
+        assert (decoded[part_rows] == 50).all()
+        part = scene.gt_semantic != 0
+        assert (decoded[part] == sample.bins[part]).all()
+
     def test_flip_prob_one_changes_every_label(self):
         rng = np.random.default_rng(22)
         scene = self.fake_scene(rng, n=400)
@@ -681,12 +681,6 @@ class TestOracle:
 
 
 class TestParamValidation:
-    def test_focal_params(self):
-        with pytest.raises(ValueError):
-            FocalLossParams(alpha=0.0)
-        with pytest.raises(ValueError):
-            FocalLossParams(gamma=-1.0)
-
     def test_train_config(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)

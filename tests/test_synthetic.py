@@ -434,6 +434,15 @@ class TestSceneIO:
         scene = scene_from_dict(data)
         assert scene.gt_npcs.tolist() == rows
 
+    @pytest.mark.parametrize("label", [-1, 4, 7])
+    def test_semantic_label_outside_classes_rejected(self, label):
+        data = tiny_scene_dict()
+        data["gt_semantic"] = [0, 3, 2]
+        assert scene_from_dict(data).gt_semantic.tolist() == [0, 3, 2]
+        data["gt_semantic"] = [0, 1, label]
+        with pytest.raises(SceneFormatError, match=rf"class {label} is outside \[0, 4\)"):
+            scene_from_dict(data)
+
     def test_zero_point_scene(self):
         data = tiny_scene_dict()
         data.update(points="", gt_semantic=[], gt_instance=[], gt_npcs="")
