@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import EmptyScene
-from .npcs import decode_bins
+from .npcs import NUM_BINS, decode_bins
 from .parts import BACKGROUND_CLASS
 
 
@@ -24,31 +24,44 @@ class PerPointPrediction:
     """Per-point network outputs for one scene.
 
     semantic_probs: (N, C) rows on the simplex; offsets: (N, 3) meters;
-    npcs_logits: (N, 3, 100) per-axis bin scores.
+    npcs_bins: (N, 3) integer coordinate bin per axis, in [0, NUM_BINS),
+    the only NPCS output the back-end reads; npcs_logits: optional
+    (N, 3, NUM_BINS) per-axis bin scores, kept by `forward` for callers
+    that inspect the head (the network's bins are their argmax).
     """
 
     semantic_probs: np.ndarray
     offsets: np.ndarray
-    npcs_logits: np.ndarray
+    npcs_bins: np.ndarray
+    npcs_logits: np.ndarray | None = None
 
     def __post_init__(self):
         probs = np.asarray(self.semantic_probs, dtype=np.float64)
         offsets = np.asarray(self.offsets, dtype=np.float64)
-        logits = np.asarray(self.npcs_logits, dtype=np.float64)
+        bins = np.asarray(self.npcs_bins)
         n = probs.shape[0]
-        if offsets.shape != (n, 3) or logits.shape[:2] != (n, 3):
+        if offsets.shape != (n, 3) or bins.shape != (n, 3):
             raise ValueError("prediction arrays disagree on point count")
-        if not (
-            np.isfinite(probs).all()
-            and np.isfinite(offsets).all()
-            and np.isfinite(logits).all()
-        ):
+        if bins.dtype.kind not in "iu":
+            raise ValueError(f"npcs_bins must be integers, got dtype {bins.dtype}")
+        if bins.size and not (bins.min() >= 0 and bins.max() < NUM_BINS):
+            raise ValueError(f"npcs_bins must lie in [0, {NUM_BINS})")
+        if not (np.isfinite(probs).all() and np.isfinite(offsets).all()):
             raise ValueError("predictions must be finite")
         if np.abs(probs.sum(axis=1) - 1.0).max() > 1e-6:
             raise ValueError("semantic_probs rows must sum to 1")
+        if self.npcs_logits is not None:
+            logits = np.asarray(self.npcs_logits, dtype=np.float64)
+            if logits.shape != (n, 3, NUM_BINS):
+                raise ValueError(
+                    f"npcs_logits has shape {logits.shape}, expected {(n, 3, NUM_BINS)}"
+                )
+            if not np.isfinite(logits).all():
+                raise ValueError("npcs_logits must be finite")
+            object.__setattr__(self, "npcs_logits", logits)
         object.__setattr__(self, "semantic_probs", probs)
         object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "npcs_logits", logits)
+        object.__setattr__(self, "npcs_bins", bins)
 
     @property
     def num_points(self) -> int:
@@ -162,16 +175,8 @@ def cluster_instances(
         PartInstance(
             semantic_class=int(labels[members[0]]),
             point_indices=members,
-            npcs_coords=_decode_members(members, pred),
+            npcs_coords=decode_bins(pred.npcs_bins[members]),
         )
         for members in groups
     ]
 
-
-def _decode_members(point_indices: np.ndarray, pred: PerPointPrediction) -> np.ndarray:
-    """Decode canonical coordinates for the given member points.
-
-    Per point and axis, the argmax bin of the logits (ties resolve to
-    the lower bin index) decoded to its bin center.
-    """
-    return decode_bins(pred.npcs_logits[point_indices].argmax(axis=2))

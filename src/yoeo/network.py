@@ -167,10 +167,13 @@ def _forward_cache(
 
 
 def forward(params: ModelParams, points: np.ndarray) -> PerPointPrediction:
-    """Run the predictor; semantic probabilities are softmax-normalized."""
+    """Run the predictor; semantic probabilities are softmax-normalized
+    and each point's NPCS bins are the argmax of its logits (ties to the
+    lower bin)."""
     cache = _forward_cache(params, points)
+    logits = cache["npcs_logits"]
     return PerPointPrediction(
-        _softmax(cache["sem_logits"]), cache["offsets"], cache["npcs_logits"]
+        _softmax(cache["sem_logits"]), cache["offsets"], logits.argmax(axis=2), logits
     )
 
 
@@ -450,9 +453,9 @@ def oracle_predict(scene, noise: OracleNoise = OracleNoise()) -> PerPointPredict
     """Predictions derived from ground truth, optionally corrupted.
 
     Labels flip (uniformly to another class) with `semantic_flip_prob`;
-    offsets and canonical coordinates get Gaussian noise before one-hot
-    encoding. Isolates the geometry stages from learned prediction
-    quality.
+    offsets and canonical coordinates get Gaussian noise before binning.
+    Background rows read bin 0 on every axis. Isolates the geometry
+    stages from learned prediction quality.
     """
     rng = np.random.default_rng(noise.rng_seed)
     n = scene.points.shape[0]
@@ -471,10 +474,8 @@ def oracle_predict(scene, noise: OracleNoise = OracleNoise()) -> PerPointPredict
     if noise.npcs_sigma > 0.0:
         npcs = npcs + rng.normal(0.0, noise.npcs_sigma, size=(n, 3))
     bins = encode_bins(npcs)
-    logits = np.zeros((n, 3, NUM_BINS))
-    idx = np.flatnonzero(part)
-    logits[idx[:, None], np.arange(3), bins[idx]] = 1.0
-    return PerPointPrediction(probs, offsets, logits)
+    bins[~part] = 0
+    return PerPointPrediction(probs, offsets, bins)
 
 
 def save_weights(params: ModelParams, path) -> None:

@@ -581,7 +581,9 @@ def _labels(values, n: int, what: str) -> np.ndarray:
 
 def scene_from_dict(data) -> Scene:
     """Inverse of `scene_to_dict`; raises SceneFormatError for anything
-    that is not a version-2 scene with arrays of agreeing shapes."""
+    that is not a version-2 scene with arrays of agreeing shapes, finite
+    points, classes in [0, NUM_CLASSES) and instance ids in
+    [-1, number of instance records)."""
     version = _get(data, "version", "scene")
     if version == 1:
         raise SceneFormatError(
@@ -591,6 +593,8 @@ def scene_from_dict(data) -> Scene:
     if version != SCENE_SCHEMA_VERSION:
         raise SceneFormatError(f"unsupported scene version {version!r}")
     points = _decode_rows(_get(data, "points", "scene"), "points")
+    if not np.isfinite(points).all():
+        raise SceneFormatError("points must be finite")
     n = len(points)
     npcs = _decode_rows(_get(data, "gt_npcs", "scene"), "gt_npcs")
     if len(npcs) != n:
@@ -607,10 +611,16 @@ def scene_from_dict(data) -> Scene:
     instances = _get(data, "instances", "scene")
     if not isinstance(instances, list):
         raise SceneFormatError("scene instances must be a list")
+    instance = _labels(_get(data, "gt_instance", "scene"), n, "gt_instance")
+    outside = (instance < -1) | (instance >= len(instances))
+    if outside.any():
+        raise SceneFormatError(
+            f"gt_instance {instance[outside][0]} is outside [-1, {len(instances)})"
+        )
     return Scene(
         points=points,
         gt_semantic=semantic,
-        gt_instance=_labels(_get(data, "gt_instance", "scene"), n, "gt_instance"),
+        gt_instance=instance,
         gt_npcs=npcs,
         instances=tuple(record_from_dict(item) for item in instances),
         camera_pose=_transform_from_dict(

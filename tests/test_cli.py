@@ -227,7 +227,9 @@ class TestTrain:
         code = run("train", "--seed", 1, "--data", data, "--out", tmp_path / "m2",
                    "--epochs", 2, "--hidden1", 8, "--hidden2", 8, "--k", 4)
         assert code != 0
-        assert "YOEO-E16" in capsys.readouterr().err
+        # Rejected at load, before any epoch runs.
+        err = capsys.readouterr().err
+        assert "YOEO-E19" in err and "points must be finite" in err
 
     def test_rerun_is_byte_identical(self, tmp_path):
         data = generate(tmp_path, name="ddata", count=4, points=512)

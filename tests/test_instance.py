@@ -23,13 +23,13 @@ def one_hot(labels, num_classes):
     return out
 
 
-def make_prediction(points, labels, offsets=None, num_classes=4, npcs_logits=None):
+def make_prediction(points, labels, offsets=None, num_classes=4, npcs_bins=None):
     n = len(points)
     if offsets is None:
         offsets = np.zeros((n, 3))
-    if npcs_logits is None:
-        npcs_logits = np.zeros((n, 3, 100))
-    return PerPointPrediction(one_hot(labels, num_classes), offsets, npcs_logits)
+    if npcs_bins is None:
+        npcs_bins = np.zeros((n, 3), dtype=np.int64)
+    return PerPointPrediction(one_hot(labels, num_classes), offsets, npcs_bins)
 
 
 def blob(rng, center, n, spread=0.02):
@@ -386,14 +386,15 @@ class TestExtractNpcs:
         return inst.npcs_coords
 
     def test_one_hot_bin_fifty(self):
-        logits = np.zeros((10, 3, 100))
-        logits[:, :, 50] = 1.0
         pred = make_prediction(np.zeros((10, 3)), np.ones(10, dtype=int),
-                               npcs_logits=logits)
+                               npcs_bins=np.full((10, 3), 50))
         assert np.allclose(self.decoded(pred), 0.505)
 
     def test_uniform_logits_tie_break_to_bin_zero(self):
-        pred = make_prediction(np.zeros((5, 3)), np.ones(5, dtype=int))
+        # Uniform logits argmax to bin 0, the bin forward reports for them.
+        logits = np.zeros((5, 3, 100))
+        pred = make_prediction(np.zeros((5, 3)), np.ones(5, dtype=int),
+                               npcs_bins=logits.argmax(axis=2))
         assert np.allclose(self.decoded(pred), 0.005)
 
     def test_oracle_logits_within_half_bin(self):
@@ -401,28 +402,77 @@ class TestExtractNpcs:
         gt = rng.uniform(0, 1, size=(50, 3))
         from yoeo.npcs import encode_bins
 
-        bins = encode_bins(gt)
-        logits = np.zeros((50, 3, 100))
-        for axis in range(3):
-            logits[np.arange(50), axis, bins[:, axis]] = 1.0
         pred = make_prediction(np.zeros((50, 3)), np.ones(50, dtype=int),
-                               npcs_logits=logits)
+                               npcs_bins=encode_bins(gt))
         assert np.abs(self.decoded(pred) - gt).max() <= 0.005 + 1e-12
+
+    def test_logits_are_not_read(self):
+        bins = np.full((6, 3), 7)
+        logits = np.zeros((6, 3, 100))
+        logits[:, :, 90] = 1.0  # disagrees with the bins on purpose
+        pred = PerPointPrediction(one_hot(np.ones(6, dtype=int), 4),
+                                  np.zeros((6, 3)), bins, logits)
+        assert np.allclose(self.decoded(pred), 0.075)
 
 
 class TestValidation:
+    @staticmethod
+    def arrays(n=2):
+        return one_hot(np.ones(n, dtype=int), 3), np.zeros((n, 3)), np.zeros((n, 3), dtype=int)
+
     def test_rejects_unnormalized_probs(self):
         with pytest.raises(ValueError):
             PerPointPrediction(
-                np.full((4, 3), 0.5), np.zeros((4, 3)), np.zeros((4, 3, 100))
+                np.full((4, 3), 0.5), np.zeros((4, 3)), np.zeros((4, 3), dtype=int)
             )
 
     def test_rejects_nonfinite(self):
-        probs = one_hot([1, 1], 3)
-        offsets = np.zeros((2, 3))
+        probs, offsets, bins = self.arrays()
         offsets[0, 0] = np.nan
         with pytest.raises(ValueError):
-            PerPointPrediction(probs, offsets, np.zeros((2, 3, 100)))
+            PerPointPrediction(probs, offsets, bins)
+
+    def test_accepts_bins_with_and_without_logits(self):
+        probs, offsets, bins = self.arrays()
+        bins[1] = [0, 50, 99]
+        for dtype in (np.int32, np.int64, np.uint8):
+            pred = PerPointPrediction(probs, offsets, bins.astype(dtype))
+            assert pred.npcs_logits is None
+            assert pred.npcs_bins.tolist() == [[0, 0, 0], [0, 50, 99]]
+        logits = np.zeros((2, 3, 100), dtype=np.float32)
+        pred = PerPointPrediction(probs, offsets, bins, logits)
+        assert pred.npcs_logits.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "bins, message",
+        [
+            (np.zeros((2, 2), dtype=int), "disagree on point count"),
+            (np.zeros((3, 3), dtype=int), "disagree on point count"),
+            (np.zeros(6, dtype=int), "disagree on point count"),
+            (np.zeros((2, 3)), "must be integers"),
+            (np.zeros((2, 3), dtype=bool), "must be integers"),
+            (np.array([[0, 0, 0], [0, -1, 0]]), r"must lie in \[0, 100\)"),
+            (np.array([[0, 0, 0], [0, 0, 100]]), r"must lie in \[0, 100\)"),
+        ],
+    )
+    def test_rejects_bad_bins(self, bins, message):
+        probs, offsets, _ = self.arrays()
+        with pytest.raises(ValueError, match=message):
+            PerPointPrediction(probs, offsets, bins)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 3, 99), (3, 3, 100), (2, 2, 100)])
+    def test_rejects_logits_of_wrong_shape(self, shape):
+        probs, offsets, bins = self.arrays()
+        with pytest.raises(ValueError, match="npcs_logits has shape"):
+            PerPointPrediction(probs, offsets, bins, np.zeros(shape))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_nonfinite_logits(self, value):
+        probs, offsets, bins = self.arrays()
+        logits = np.zeros((2, 3, 100))
+        logits[1, 2, 40] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            PerPointPrediction(probs, offsets, bins, logits)
 
     def test_cluster_params_validation(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from yoeo.network import (
     TrainConfig,
     TrainSample,
     _center_grad,
+    _part_targets,
     _semantic_grad,
     forward,
     init_params,
@@ -31,7 +32,10 @@ from yoeo.network import (
     train,
     trainable_arrays,
 )
+from yoeo.instance import PerPointPrediction
+from yoeo.npcs import encode_bins
 from yoeo.parts import NUM_CLASSES
+from yoeo.pipeline import run_scene_pipeline
 from yoeo.synthetic import GenConfig, generate_object, render_scene
 
 LAYER_NAMES = ("w1", "b1", "w2", "b2", "w_sem", "b_sem",
@@ -80,6 +84,14 @@ class TestForward:
         assert np.allclose(pred.semantic_probs, 0.25)
         assert (pred.offsets == 0).all()
         assert (pred.npcs_logits == 0).all()
+        assert (pred.npcs_bins == 0).all()  # ties go to the lower bin
+
+    def test_bins_are_argmax_of_logits(self):
+        rng = np.random.default_rng(5)
+        for seed in range(3):
+            pred = forward(init_params(rng_seed=seed), rng.uniform(-1, 1, size=(200, 3)))
+            assert pred.npcs_logits.shape == (200, 3, 100)
+            assert np.array_equal(pred.npcs_bins, pred.npcs_logits.argmax(axis=2))
 
     def test_too_few_points(self):
         params = init_params(k=16)
@@ -614,10 +626,11 @@ class TestOracle:
         pred = oracle_predict(scene, OracleNoise())
         assert (pred.semantic_probs.argmax(axis=1) == scene.gt_semantic).all()
         part = scene.gt_semantic != 0
-        decoded = pred.npcs_logits.argmax(axis=2)[part]
         from yoeo.npcs import encode_bins
 
-        assert (decoded == encode_bins(scene.gt_npcs[part])).all()
+        assert (pred.npcs_bins[part] == encode_bins(scene.gt_npcs[part])).all()
+        assert (pred.npcs_bins[~part] == 0).all()
+        assert pred.npcs_logits is None
 
     def test_nan_part_row_reads_cube_center_as_in_training(self):
         rng = np.random.default_rng(28)
@@ -626,7 +639,7 @@ class TestOracle:
         scene.gt_npcs[part_rows] = np.nan
         pred = oracle_predict(scene, OracleNoise())
         sample = scene_to_sample(scene)
-        decoded = pred.npcs_logits.argmax(axis=2)
+        decoded = pred.npcs_bins
         assert (decoded[part_rows] == 50).all()
         part = scene.gt_semantic != 0
         assert (decoded[part] == sample.bins[part]).all()
@@ -653,7 +666,7 @@ class TestOracle:
         b = oracle_predict(scene, noise)
         assert (a.semantic_probs == b.semantic_probs).all()
         assert (a.offsets == b.offsets).all()
-        assert (a.npcs_logits == b.npcs_logits).all()
+        assert (a.npcs_bins == b.npcs_bins).all()
 
     def test_five_mm_offset_noise_keeps_clustering_perfect(self):
         from yoeo.instance import ClusterParams, cluster_instances
@@ -678,6 +691,72 @@ class TestOracle:
                 for idx, record in enumerate(scene.instances)
             }
             assert got == want
+
+
+def one_hot_oracle(scene, noise):
+    """The oracle as it was when predictions carried (N, 3, 100) one-hot
+    logits: the same draws, then a 1 at each part row's bin."""
+    rng = np.random.default_rng(noise.rng_seed)
+    n = scene.points.shape[0]
+    part, offsets, npcs = _part_targets(scene)
+    labels = scene.gt_semantic.astype(np.int64).copy()
+    if noise.semantic_flip_prob > 0.0:
+        flips = rng.uniform(size=n) < noise.semantic_flip_prob
+        shift = rng.integers(1, NUM_CLASSES, size=n)
+        labels[flips] = (labels[flips] + shift[flips]) % NUM_CLASSES
+    probs = np.zeros((n, NUM_CLASSES))
+    probs[np.arange(n), labels] = 1.0
+    if noise.offset_sigma > 0.0:
+        offsets = offsets + rng.normal(0.0, noise.offset_sigma, size=(n, 3))
+    if noise.npcs_sigma > 0.0:
+        npcs = npcs + rng.normal(0.0, noise.npcs_sigma, size=(n, 3))
+    bins = encode_bins(npcs)
+    logits = np.zeros((n, 3, 100))
+    idx = np.flatnonzero(part)
+    logits[idx[:, None], np.arange(3), bins[idx]] = 1.0
+    return PerPointPrediction(probs, offsets, logits.argmax(axis=2), logits)
+
+
+def pipeline_arrays(points, pred):
+    """Every array run_scene_pipeline returns, in order."""
+    out = []
+    for inst in run_scene_pipeline(points, pred):
+        r = inst.result
+        out += [np.array(inst.semantic_class), inst.point_indices,
+                np.array(r.transform.scale), r.transform.rotation,
+                r.transform.translation, r.size, np.array(r.inliers),
+                r.axis.origin, r.axis.direction, np.array(r.axis.kind)]
+    return out
+
+
+class TestOracleBinsIdentity:
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            OracleNoise(),
+            OracleNoise(offset_sigma=0.005, npcs_sigma=0.01),
+            OracleNoise(offset_sigma=0.005, npcs_sigma=0.01, semantic_flip_prob=0.02),
+        ],
+        ids=["clean", "noisy", "noisy-flips"],
+    )
+    def test_pipeline_matches_one_hot_logits(self, noise):
+        instances = 0
+        for seed in range(20):
+            cfg = GenConfig(rng_seed=seed, points_per_scene=1024)
+            scene = render_scene(generate_object(seed, cfg), cfg)
+            seeded = dataclasses.replace(noise, rng_seed=seed)
+            got = oracle_predict(scene, seeded)
+            want = one_hot_oracle(scene, seeded)
+            assert np.array_equal(got.semantic_probs, want.semantic_probs)
+            assert np.array_equal(got.offsets, want.offsets)
+            assert np.array_equal(got.npcs_bins, want.npcs_bins)
+            a = pipeline_arrays(scene.points, got)
+            b = pipeline_arrays(scene.points, want)
+            assert len(a) == len(b)
+            for x, y in zip(a, b):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+            instances += len(a) // 10
+        assert instances >= 40
 
 
 class TestParamValidation:

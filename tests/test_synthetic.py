@@ -298,14 +298,15 @@ def streamed_scene_bytes(scene, path):
 
 
 def tiny_scene_dict():
-    """A valid 3-point scene dict: one background point, two part points."""
+    """A valid 3-point scene dict: one background point, two part points
+    of instance 0."""
     return {
         "version": 2,
         "points": pack_rows([[0.0, 0.0, 1.0], [0.1, 0.0, 1.0], [0.0, 0.1, 1.0]]),
         "gt_semantic": [0, 1, 1],
         "gt_instance": [-1, 0, 0],
         "gt_npcs": pack_rows([None, [0.5, 0.25, 0.0], [0.25, 0.5, 1.0]]),
-        "instances": [],
+        "instances": [tiny_record_dict()],
         "camera_pose": {"R": np.eye(3).reshape(-1).tolist(), "t": [0.0, 0.0, 0.0]},
     }
 
@@ -384,7 +385,8 @@ class TestSceneIO:
             ([[2.2250738585072014e-308 / 3, -1e-310, 1.0]], [[-0.0, 5e-324, 1.0]]),
             ([[0.1, 0.2, 0.3], [1e300, -1e-300, 1 / 3]], [None, None]),  # all background
             ([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]], [[0.7, 0.8, 0.9], [0.0, -0.0, 1.0]]),
-            ([[math.nan, math.inf, -math.inf]], [[0.5, 0.5, 0.5]]),  # points may be non-finite
+            ([[1.7976931348623157e308, -1.7976931348623157e308, -5e-324]],
+             [[0.5, 0.5, 0.5]]),  # the largest finite doubles
             ([], []),
         ],
     )
@@ -442,6 +444,26 @@ class TestSceneIO:
         data["gt_semantic"] = [0, 1, label]
         with pytest.raises(SceneFormatError, match=rf"class {label} is outside \[0, 4\)"):
             scene_from_dict(data)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_rejected(self, value):
+        data = tiny_scene_dict()
+        data["points"] = pack_rows([[0.0, 0.0, 1.0], [0.1, value, 1.0], [0.0, 0.1, 1.0]])
+        with pytest.raises(SceneFormatError, match="points must be finite") as info:
+            scene_from_dict(data)
+        assert info.value.code == 19
+
+    @pytest.mark.parametrize("records, label", [(1, -2), (1, 1), (1, 99), (0, 0)])
+    def test_instance_id_outside_records_rejected(self, records, label):
+        data = tiny_scene_dict()
+        data["instances"] = data["instances"][:records]
+        data["gt_instance"] = [-1, -1, -1]
+        assert scene_from_dict(data).gt_instance.tolist() == [-1, -1, -1]
+        data["gt_instance"] = [-1, 0, label]
+        with pytest.raises(SceneFormatError,
+                           match=rf"gt_instance {label} is outside \[-1, {records}\)") as info:
+            scene_from_dict(data)
+        assert info.value.code == 19
 
     def test_zero_point_scene(self):
         data = tiny_scene_dict()
