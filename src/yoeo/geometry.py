@@ -8,6 +8,7 @@ carry {scale s, rotation R, translation t} and act on points as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,6 +158,27 @@ def umeyama_align(src: np.ndarray, dst: np.ndarray) -> Sim3Transform:
 # 3 points suffice mathematically but produce more degenerate draws.
 MIN_SAMPLE_SIZE = 4
 
+# RANSAC stops once the chance that every sample so far missed an
+# all-inlier draw falls below this (1 - confidence, so 99.9% confidence).
+RANSAC_FAILURE = 1e-3
+
+
+def _samples_needed(inlier_fraction: float, cap: int) -> int:
+    """Fewest candidates m with 1 - (1 - w^4)^m >= 1 - RANSAC_FAILURE, or `cap`.
+
+    w is the best inlier fraction so far and 4 is MIN_SAMPLE_SIZE
+    (Fischler & Bolles 1981; Hartley & Zisserman, section 4.7). w = 1 needs
+    no more samples; a w whose w^4 is 0 never gets confident, so it needs
+    the cap.
+    """
+    w4 = inlier_fraction**MIN_SAMPLE_SIZE
+    if w4 >= 1.0:
+        return 0
+    if w4 <= 0.0:
+        return cap
+    m = math.log(RANSAC_FAILURE) / math.log1p(-w4)
+    return cap if m >= cap else math.ceil(m)
+
 
 @dataclass(frozen=True)
 class RansacParams:
@@ -214,20 +236,29 @@ def ransac_align(
 ) -> tuple[Sim3Transform, np.ndarray]:
     """Robust SIM(3) alignment by random-sample consensus.
 
-    Draws minimal samples of MIN_SAMPLE_SIZE points, keeps the candidate
-    with the largest inlier set (residual strictly below
-    `inlier_threshold`; the first such candidate wins ties), then refits
-    once on that consensus set.
+    Draws minimal samples of MIN_SAMPLE_SIZE points and keeps the
+    candidate with the largest inlier set (residual strictly below
+    `inlier_threshold`; the first such candidate wins ties). Sampling
+    stops once it is 1 - RANSAC_FAILURE (99.9%) sure to have drawn an
+    all-inlier sample: after m scored candidates with best inlier fraction
+    w, once m >= log(RANSAC_FAILURE) / log(1 - w^4), and in any case after
+    `max_iterations` candidates. The winner is refit on its consensus set;
+    when the refit's own inlier set is larger than that consensus set, it
+    is refit once more on it (the local step of LO-RANSAC, Chum, Matas &
+    Kittler 2003).
     Degenerate (collinear) samples and samples with a repeated index are
-    skipped without consuming an iteration; the whole sample budget comes
-    from one seeded generator, so the run is bit-deterministic for a
-    fixed `rng_seed`.
+    skipped without counting as candidates; every sample comes from one
+    seeded generator, so the run is bit-deterministic for a fixed
+    `rng_seed`.
 
-    Candidates are fitted and scored in chunks: a first chunk of 4, so
-    clean data exits as soon as one candidate explains every point, then
-    chunks of `max_iterations` samples. Scoring a chunk is one matrix
-    product. With x and y taken about their means and t' = t + s R mean(x)
-    - mean(y), the squared residual expands to
+    Candidates are fitted and scored in chunks, and the stopping test runs
+    after each chunk. The first chunk is 4 samples, so clean data exits as
+    soon as one candidate explains every point. While the test still
+    needs `max_iterations` or more candidates, a chunk is
+    `max_iterations` samples; otherwise it is the candidates still needed,
+    at least 4. Scoring a chunk is one matrix product. With x and y taken
+    about their means and t' = t + s R mean(x) - mean(y), the squared
+    residual expands to
 
         s^2 |x|^2 + |y|^2 + 2 s x.(R^T t') - 2 y.t' - 2 s vec(y x^T).vec(R)
         + |t'|^2,
@@ -239,7 +270,7 @@ def ransac_align(
     distance from the origin.
 
     Returns (transform, inlier_mask) where the mask is evaluated against
-    the refit transform from the direct residual.
+    the last refit transform from the direct residual.
     """
     x = np.asarray(src, dtype=np.float64).reshape(-1, 3)
     y = np.asarray(dst, dtype=np.float64).reshape(-1, 3)
@@ -270,23 +301,26 @@ def ransac_align(
     )
 
     threshold_sq = params.inlier_threshold**2
+    cap = params.max_iterations
     best_count = -1
     best_consensus = None
     evaluated = 0
     consumed = 0
+    needed = cap
     chunk_size = 4  # small first chunk: clean data exits immediately
-    while evaluated < params.max_iterations and consumed < attempts:
+    while evaluated < needed and consumed < attempts:
+        if consumed:
+            chunk_size = cap if needed >= cap else max(needed - evaluated, 4)
         rows = idx[consumed : consumed + chunk_size]
         consumed += chunk_size
-        chunk_size = params.max_iterations
         ordered = np.sort(rows, axis=1)
         rows = rows[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)]
         s, r, t, ok = _umeyama_batch(x[rows], y[rows])
         if not ok.any():
             continue
         s, r, t = s[ok], r[ok], t[ok]
-        if evaluated + len(s) > params.max_iterations:
-            keep = params.max_iterations - evaluated
+        if evaluated + len(s) > cap:
+            keep = cap - evaluated
             s, r, t = s[:keep], r[:keep], t[:keep]
         evaluated += len(s)
 
@@ -306,8 +340,7 @@ def ransac_align(
         if counts[local_best] > best_count:
             best_count = int(counts[local_best])
             best_consensus = inliers[:, local_best]
-        if best_count == n:
-            break
+        needed = _samples_needed(best_count / n, cap)
 
     if best_consensus is None:
         raise DegenerateInput("no non-degenerate minimal sample found")
@@ -317,7 +350,14 @@ def ransac_align(
             f"{params.min_inlier_fraction}"
         )
 
-    transform = umeyama_align(x[best_consensus], y[best_consensus])
-    diff = y - transform.apply(x)
-    inlier_mask = (diff * diff).sum(axis=1) < threshold_sq
+    transform, inlier_mask = _refit(x, y, best_consensus, threshold_sq)
+    if inlier_mask.sum() > best_count:
+        transform, inlier_mask = _refit(x, y, inlier_mask, threshold_sq)
     return transform, inlier_mask
+
+
+def _refit(x, y, mask, threshold_sq):
+    """Umeyama fit on the masked pairs and its inlier mask over all pairs."""
+    transform = umeyama_align(x[mask], y[mask])
+    diff = y - transform.apply(x)
+    return transform, (diff * diff).sum(axis=1) < threshold_sq

@@ -109,7 +109,9 @@ def point_features(points: np.ndarray, k: int) -> np.ndarray:
     candidate) and are averaged in ascending distance order, which keeps
     the result invariant to input permutation (up to exact distance
     ties). Non-finite input yields all-NaN rows, so training stops on a
-    NonFiniteLoss instead of a tree-construction error.
+    NonFiniteLoss instead of a tree-construction error. So does finite
+    input whose neighbour distances overflow (coordinates of about 1e155
+    and more), where the tree reports missing neighbours.
     """
     p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = p.shape[0]
@@ -121,7 +123,9 @@ def point_features(points: np.ndarray, k: int) -> np.ndarray:
     if not np.isfinite(centered).all():
         return np.full((n, 6), np.nan)
 
-    _, idx = cKDTree(centered).query(centered, k=k + 1)
+    dist, idx = cKDTree(centered).query(centered, k=k + 1)
+    if not np.isfinite(dist).all():
+        return np.full((n, 6), np.nan)
     others = idx != np.arange(n)[:, None]
     others[others.all(axis=1), -1] = False
     idx = idx[others].reshape(n, k)

@@ -231,6 +231,20 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "YOEO-E19" in err and "points must be finite" in err
 
+    def test_overflowing_distances_abort_with_error_code(self, tmp_path, capsys):
+        # Finite points whose squared distances overflow reach training as
+        # all-NaN feature rows, which stop it with a typed error.
+        data = generate(tmp_path, name="hugedata", count=1, points=512)
+        scene_file = data / "scene_00000.json"
+        payload = json.loads(scene_file.read_text())
+        payload["points"] = encode_rows(decode_rows(payload["points"]) * 1e200)
+        scene_file.write_text(json.dumps(payload))
+        code = run("train", "--seed", 1, "--data", data, "--out", tmp_path / "m",
+                   "--epochs", 2, "--hidden1", 8, "--hidden2", 8, "--k", 4)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "YOEO-E16" in err and "Traceback" not in err
+
     def test_rerun_is_byte_identical(self, tmp_path):
         data = generate(tmp_path, name="ddata", count=4, points=512)
         outs = []

@@ -163,6 +163,15 @@ class TestPointFeatures:
         assert got.shape == (40, 6)
         assert np.isnan(got).all()
 
+    @pytest.mark.parametrize("scale,finite", [(1e154, True), (1e155, False)])
+    def test_overflowing_distances_give_all_nan_rows(self, scale, finite):
+        # Past about 1e155 squared distances overflow and the tree reports
+        # missing neighbours; such finite input reads like non-finite input.
+        points = np.random.default_rng(0).uniform(size=(64, 3)) * scale
+        got = point_features(points, 8)
+        assert got.shape == (64, 6)
+        assert np.isfinite(got).all() if finite else np.isnan(got).all()
+
 
 class TestLossSemantic:
     def test_perfect_one_hot_is_zero(self):
