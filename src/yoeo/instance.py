@@ -2,9 +2,10 @@
 
 Points vote for their instance centroid (point + predicted offset);
 votes of one semantic class are grouped by single-linkage connectivity
-at a fixed bandwidth. Coincident votes are collapsed first, neighbor
-pairs within the bandwidth come from a cKDTree, and components are
-resolved by a vectorized union-find over the pair array.
+at a fixed bandwidth, one pass per class. Within a pass, coincident
+votes are collapsed first, neighbor pairs within the bandwidth come
+from a cKDTree, and components are resolved by a vectorized union-find
+over the pair array whose first round hooks straight from the pairs.
 """
 
 from __future__ import annotations
@@ -110,11 +111,16 @@ def _connectivity_labels(votes: np.ndarray, bandwidth: float) -> np.ndarray:
     connected_components the sparse matrix it needs (COO to CSR,
     duplicate sum, index sort) cost more than the pair search.
 
-    Each round keeps the pairs whose roots differ, hooks the larger root
-    of each under the smaller (np.minimum.at, so roots only decrease),
-    then pointer-jumps until every node points at a root. It stops when
-    no pair joins two roots. A label is the smallest distinct-vote index
-    in its component, so labels are not 0..K-1.
+    query_pairs returns each pair once as (a, b) with a < b, and every
+    node starts as its own root, so the first round needs no root lookup:
+    it hooks each node under its smallest neighbour straight from the pair
+    array (np.minimum.at(root, b, a)), the opening step of Shiloach-Vishkin
+    connectivity. Each later round keeps the pairs whose roots differ and
+    hooks the larger root of each under the smaller (np.minimum.at, so
+    roots only decrease). After every round, pointer jumping runs until
+    every node points at a root. It stops when no pair joins two roots. A
+    label is the smallest distinct-vote index in its component, so labels
+    are not 0..K-1.
     """
     order = np.lexsort(votes.T[::-1])
     ordered = votes[order]
@@ -126,16 +132,17 @@ def _connectivity_labels(votes: np.ndarray, bandwidth: float) -> np.ndarray:
     pairs = cKDTree(unique).query_pairs(bandwidth, output_type="ndarray")
     root = np.arange(unique.shape[0])
     a, b = pairs[:, 0], pairs[:, 1]
+    np.minimum.at(root, b, a)
     while True:
+        jumped = root[root]
+        while not np.array_equal(jumped, root):
+            root, jumped = jumped, jumped[jumped]
         ra, rb = root[a], root[b]
         differ = ra != rb
         if not differ.any():
             return root[inverse]
         a, b, ra, rb = a[differ], b[differ], ra[differ], rb[differ]
         np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
-        jumped = root[root]
-        while not np.array_equal(jumped, root):
-            root, jumped = jumped, jumped[jumped]
 
 
 def cluster_instances(
@@ -144,10 +151,12 @@ def cluster_instances(
     """Partition non-background points into part instances.
 
     Points are split by argmax semantic class first, then grouped by
-    single-linkage connectivity of their centroid votes, in one pass for
-    all classes. Components smaller than min_points are dropped. Output
-    order (class id, then smallest member index) and memberships are
-    independent of input permutation up to relabeling.
+    single-linkage connectivity of their centroid votes, one pass per
+    class on that class's votes alone, so votes of different classes
+    never link however close they lie. Components smaller than
+    min_points are dropped. Output order (class id, then smallest member
+    index) and memberships are independent of input permutation up to
+    relabeling.
     """
     p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     votes = vote_centroids(p, pred)
@@ -157,20 +166,20 @@ def cluster_instances(
     if foreground.size == 0:
         raise EmptyScene("no non-background points to cluster")
 
-    # One connectivity pass for all classes: a class coordinate spaced
-    # twice the bandwidth apart keeps votes of different classes from
-    # linking and adds exactly zero to distances within a class.
-    keyed = np.column_stack(
-        [votes[foreground], labels[foreground] * (2.0 * params.bandwidth)]
-    )
-    comp = _connectivity_labels(keyed, params.bandwidth)
-    groups = sorted(
-        (
-            foreground[comp == comp_id]
+    # One pass per class: each class gets its own small pair array, so
+    # the union-find's temporaries are as long as the largest class's
+    # pairs rather than the whole scene's. Members ascend, so each
+    # group's first member is its smallest index.
+    foreground_labels = labels[foreground]
+    groups = []
+    for cls in np.unique(foreground_labels):
+        members = foreground[foreground_labels == cls]
+        comp = _connectivity_labels(votes[members], params.bandwidth)
+        groups.extend(
+            members[comp == comp_id]
             for comp_id in np.flatnonzero(np.bincount(comp) >= params.min_points)
-        ),
-        key=lambda members: (labels[members[0]], members[0]),
-    )
+        )
+    groups.sort(key=lambda members: (labels[members[0]], members[0]))
     return [
         PartInstance(
             semantic_class=int(labels[members[0]]),
@@ -179,4 +188,3 @@ def cluster_instances(
         )
         for members in groups
     ]
-

@@ -29,6 +29,10 @@ from .parts import (
 )
 
 SCENE_SCHEMA_VERSION = 2
+# Largest point coordinate magnitude a scene file may hold, in meters.
+# Far past any real scene, and far below where squared neighbour
+# distances overflow (about 1e154) in the k-NN and clustering trees.
+MAX_COORDINATE_M = 1e6
 
 # Per-kind (x, y, z) extent ranges of a part box, in meters.
 PART_EXTENTS = {
@@ -637,8 +641,16 @@ def save_scene(scene: Scene, path) -> None:
 
 
 def load_scene(path) -> Scene:
+    """Read a scene file; raises SceneFormatError for what `scene_from_dict`
+    rejects and for point coordinates beyond MAX_COORDINATE_M, which the
+    codec keeps bit-exact but no later stage can use."""
     with open(path) as fh:
-        return scene_from_dict(json.load(fh))
+        scene = scene_from_dict(json.load(fh))
+    if (np.abs(scene.points) > MAX_COORDINATE_M).any():
+        raise SceneFormatError(
+            f"point coordinates must lie within ±{MAX_COORDINATE_M:g} m"
+        )
+    return scene
 
 
 def export_ply(scene: Scene, path) -> None:

@@ -49,6 +49,23 @@ def generate(tmp_path, name="data", seed=1, count=4, points=768, extra=()):
     return out
 
 
+def scale_points(data, factor=1e200):
+    """Multiply the points of a generated set's first scene by `factor`."""
+    scene_file = data / "scene_00000.json"
+    payload = json.loads(scene_file.read_text())
+    payload["points"] = encode_rows(decode_rows(payload["points"]) * factor)
+    scene_file.write_text(json.dumps(payload))
+    return data
+
+
+def assert_huge_coordinates_rejected(code, capsys):
+    # Finite points far past any scene stop at load with one message,
+    # not a k-NN or clustering overflow downstream.
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("YOEO-E19:") and "within ±1e+06 m" in err
+
+
 class TestGenerate:
     def test_writes_scenes_and_manifest(self, tmp_path):
         out = generate(tmp_path, count=3)
@@ -231,19 +248,11 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "YOEO-E19" in err and "points must be finite" in err
 
-    def test_overflowing_distances_abort_with_error_code(self, tmp_path, capsys):
-        # Finite points whose squared distances overflow reach training as
-        # all-NaN feature rows, which stop it with a typed error.
-        data = generate(tmp_path, name="hugedata", count=1, points=512)
-        scene_file = data / "scene_00000.json"
-        payload = json.loads(scene_file.read_text())
-        payload["points"] = encode_rows(decode_rows(payload["points"]) * 1e200)
-        scene_file.write_text(json.dumps(payload))
+    def test_huge_coordinates_rejected_at_load(self, tmp_path, capsys):
+        data = scale_points(generate(tmp_path, name="hugedata", count=1, points=512))
         code = run("train", "--seed", 1, "--data", data, "--out", tmp_path / "m",
                    "--epochs", 2, "--hidden1", 8, "--hidden2", 8, "--k", 4)
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "YOEO-E16" in err and "Traceback" not in err
+        assert_huge_coordinates_rejected(code, capsys)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         data = generate(tmp_path, name="ddata", count=4, points=512)
@@ -403,6 +412,16 @@ class TestInfer:
             err = capsys.readouterr().err
             assert err.startswith("YOEO-E19:")
             assert f"gt_semantic class {label} is outside [0, 4)" in err
+
+    @pytest.mark.parametrize("weights", [False, True], ids=["oracle", "weights"])
+    def test_huge_coordinates_rejected_at_load(self, tmp_path, capsys, weights):
+        data = scale_points(generate(tmp_path, count=1, points=512))
+        source = ["--oracle"]
+        if weights:
+            source = ["--weights", tmp_path / "w.bin"]
+            save_weights(init_params(hidden=(12, 16), k=8, rng_seed=10), source[1])
+        code = run("infer", "--data", data, *source, "--out", tmp_path / "p")
+        assert_huge_coordinates_rejected(code, capsys)
 
     def test_corrupt_weights_magic_error(self, tmp_path, capsys):
         data = generate(tmp_path, count=1)
@@ -692,6 +711,14 @@ class TestEval:
             assert run("eval", "--data", data, "--preds", preds, "--out", out) == 0
             outs.append(out)
         assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
+
+    def test_huge_coordinates_rejected_at_load(self, tmp_path, capsys):
+        data = generate(tmp_path, count=1, points=512)
+        preds = tmp_path / "preds"
+        assert run("infer", "--data", data, "--oracle", "--out", preds) == 0
+        scale_points(data)
+        code = run("eval", "--data", data, "--preds", preds, "--out", tmp_path / "e")
+        assert_huge_coordinates_rejected(code, capsys)
 
     def test_missing_prediction_file_rejected(self, tmp_path, capsys):
         data = generate(tmp_path, count=2)

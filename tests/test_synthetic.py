@@ -409,6 +409,27 @@ class TestSceneIO:
         assert data["points"] == pack_rows(points)
         assert data["gt_npcs"] == pack_rows(npcs)
 
+    @pytest.mark.parametrize("coordinate, accepted", [(1e6, True), (-1e6, True),
+                                                      (1.000001e6, False), (-1e200, False)])
+    def test_load_bounds_point_coordinates(self, tmp_path, coordinate, accepted):
+        # The codec keeps any finite double; loading a file for use does not.
+        scene = Scene(
+            points=np.array([[0.0, 0.0, 0.0], [0.1, coordinate, 0.2]]),
+            gt_semantic=np.zeros(2, dtype=np.int64),
+            gt_instance=np.full(2, -1, dtype=np.int64),
+            gt_npcs=np.full((2, 3), math.nan),
+            instances=(),
+            camera_pose=Sim3Transform.identity(),
+        )
+        path = tmp_path / "scene.json"
+        save_scene(scene, path)
+        assert same_bits(scene_from_dict(json.loads(path.read_text())).points, scene.points)
+        if accepted:
+            assert same_bits(load_scene(path).points, scene.points)
+        else:
+            with pytest.raises(SceneFormatError, match="within ±1e\\+06 m"):
+                load_scene(path)
+
     def test_partly_nan_npcs_row_written_as_background(self):
         scene = Scene(
             points=np.zeros((2, 3)),
