@@ -6,44 +6,4 @@ each instance's 6D pose and size are recovered by robust SIM(3)
 alignment. A procedural scene generator supplies ground truth end to end.
 """
 
-from .errors import (
-    ConfigError,
-    DegenerateExtents,
-    DegenerateInput,
-    DegenerateSpec,
-    EmptyScene,
-    NoConsensus,
-    NonFiniteLoss,
-    TooFewPoints,
-    WeightFormatError,
-    YoeoError,
-    ZeroMask,
-)
-from .geometry import (
-    RansacParams,
-    Sim3Transform,
-    ransac_align,
-    rotation_geodesic_deg,
-    umeyama_align,
-)
-
-__all__ = [
-    "ConfigError",
-    "DegenerateExtents",
-    "DegenerateInput",
-    "DegenerateSpec",
-    "EmptyScene",
-    "NoConsensus",
-    "NonFiniteLoss",
-    "RansacParams",
-    "Sim3Transform",
-    "TooFewPoints",
-    "WeightFormatError",
-    "YoeoError",
-    "ZeroMask",
-    "ransac_align",
-    "rotation_geodesic_deg",
-    "umeyama_align",
-]
-
 __version__ = "0.1.0"

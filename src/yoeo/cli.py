@@ -349,8 +349,10 @@ def cmd_train(args) -> int:
         save_weights(model, weights_path)
         rows.append([epoch, *row.tolist()])
 
+    # `checkpoint` runs after every epoch, so the last one writes the
+    # trained weights.
     try:
-        trained, curve = train(params, dataset, cfg, on_epoch=checkpoint)
+        _, curve = train(params, dataset, cfg, on_epoch=checkpoint)
     finally:
         # On NonFiniteLoss the last finished epoch's weights stay on disk.
         with open(out / "loss_curve.csv", "w", newline="") as fh:
@@ -358,7 +360,6 @@ def cmd_train(args) -> int:
             writer.writerow(["epoch", "total", "sem", "center", "npcs"])
             writer.writerows(rows)
 
-    save_weights(trained, weights_path)
     print(
         f"trained {cfg.epochs} epochs on {len(dataset)} scenes; "
         f"final total loss {curve[-1, 0]:.6f} (from {curve[0, 0]:.6f})"

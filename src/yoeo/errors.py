@@ -31,12 +31,6 @@ class DegenerateExtents(YoeoError):
     code = 12
 
 
-class EmptyScene(YoeoError):
-    """No non-background points to cluster."""
-
-    code = 13
-
-
 class TooFewPoints(YoeoError):
     code = 14
 

@@ -36,16 +36,6 @@ def check_rotation(matrix: np.ndarray) -> np.ndarray:
     return r
 
 
-def rot_x(angle_rad: float) -> np.ndarray:
-    c, s = np.cos(angle_rad), np.sin(angle_rad)
-    return np.array([[1, 0, 0], [0, c, -s], [0, s, c]], dtype=np.float64)
-
-
-def rot_z(angle_rad: float) -> np.ndarray:
-    c, s = np.cos(angle_rad), np.sin(angle_rad)
-    return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]], dtype=np.float64)
-
-
 def rotation_about_axis(axis: np.ndarray, angle_rad: float) -> np.ndarray:
     """Rodrigues rotation about a (not necessarily unit) axis."""
     d = np.asarray(axis, dtype=np.float64)

@@ -6,6 +6,7 @@ at a fixed bandwidth, one pass per class. Within a pass, coincident
 votes are collapsed first, neighbor pairs within the bandwidth come
 from a cKDTree, and components are resolved by a vectorized union-find
 over the pair array whose first round hooks straight from the pairs.
+A scene whose points are all background yields no instances.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import EmptyScene
 from .npcs import NUM_BINS, decode_bins
 from .parts import BACKGROUND_CLASS
 
@@ -156,15 +156,13 @@ def cluster_instances(
     never link however close they lie. Components smaller than
     min_points are dropped. Output order (class id, then smallest member
     index) and memberships are independent of input permutation up to
-    relabeling.
+    relabeling. A scene with no foreground point gives an empty list.
     """
     p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     votes = vote_centroids(p, pred)
     labels = pred.semantic_probs.argmax(axis=1)
 
     foreground = np.flatnonzero(labels != BACKGROUND_CLASS)
-    if foreground.size == 0:
-        raise EmptyScene("no non-background points to cluster")
 
     # One pass per class: each class gets its own small pair array, so
     # the union-find's temporaries are as long as the largest class's

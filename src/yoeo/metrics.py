@@ -8,7 +8,7 @@ failures while mean errors aggregate over matched pairs only.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -206,16 +206,7 @@ class EvalReport:
     param_count: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "per_class": {str(k): v for k, v in self.per_class.items()},
-            "overall": self.overall,
-            "a5": self.a5,
-            "a10": self.a10,
-            "matched": self.matched,
-            "missed": self.missed,
-            "spurious": self.spurious,
-            "param_count": self.param_count,
-        }
+        return asdict(self)
 
     def to_text_table(self) -> str:
         headers = ["", "Re", "Te", "Se", "mIoU", "A5", "A10", "Param"]

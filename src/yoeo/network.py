@@ -26,7 +26,7 @@ from scipy.spatial import cKDTree
 from .errors import NonFiniteLoss, TooFewPoints, WeightFormatError, ZeroMask
 from .instance import PerPointPrediction
 from .npcs import NUM_BINS, encode_bins
-from .parts import NUM_CLASSES
+from .parts import BACKGROUND_CLASS, NUM_CLASSES
 from .synthetic import Scene, gt_offsets
 
 WEIGHTS_MAGIC = b"YOEO"
@@ -277,7 +277,7 @@ class TrainSample:
 def _part_targets(scene: Scene) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(part mask, centroid offsets, canonical coordinates) from ground
     truth. Background rows, and any NaN in a part row, read 0.5."""
-    part = scene.gt_semantic != 0
+    part = scene.gt_semantic != BACKGROUND_CLASS
     npcs = np.where(part[:, None], np.nan_to_num(scene.gt_npcs, nan=0.5), 0.5)
     return part, gt_offsets(scene), npcs
 

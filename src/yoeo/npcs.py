@@ -60,28 +60,16 @@ class JointAxis:
         object.__setattr__(self, "direction", d)
 
 
-@dataclass(frozen=True)
-class PartCanonicalization:
-    """How a metric part maps into the unit cube.
-
-    norm_factor is meters per canonical unit (the metric box diagonal);
-    canonical_extents are the box extents divided by that diagonal, so the
-    canonical box diagonal is exactly 1.
-    """
-
-    canonical_extents: np.ndarray
-    norm_factor: float
-
-
 def canonicalize_part(
     points: np.ndarray, part_pose: Sim3Transform, part_extents: np.ndarray
-) -> tuple[np.ndarray, PartCanonicalization]:
+) -> np.ndarray:
     """Express metric part points in the part's canonical unit-cube frame.
 
     `part_pose` is the part's rest frame in the camera frame; its scale is
     ignored (rigid component only). Points are moved into that frame,
     scaled by 1/diagonal(part_extents) and recentered so the box center
-    lands on (0.5, 0.5, 0.5).
+    lands on (0.5, 0.5, 0.5). Returns the (N, 3) canonical coordinates;
+    the metric scale is the diagonal, np.linalg.norm(part_extents).
     """
     extents = np.asarray(part_extents, dtype=np.float64).reshape(3)
     if (extents <= 0.0).any():
@@ -89,8 +77,7 @@ def canonicalize_part(
     diagonal = float(np.linalg.norm(extents))
     p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     local = (p - part_pose.translation) @ part_pose.rotation
-    coords = local / diagonal + 0.5
-    return coords, PartCanonicalization(extents / diagonal, diagonal)
+    return local / diagonal + 0.5
 
 
 @dataclass(frozen=True)

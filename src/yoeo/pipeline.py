@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateInput, EmptyScene, NoConsensus
+from .errors import DegenerateInput, NoConsensus
 from .geometry import RansacParams
 from .instance import ClusterParams, PerPointPrediction, cluster_instances
 from .npcs import PoseResult, recover_pose, transform_axis
@@ -33,16 +33,11 @@ def run_scene_pipeline(
     Clusters centroid votes per semantic class, then aligns each
     instance's decoded canonical coordinates to its observed points.
     Instances whose alignment finds no consensus (or degenerates) are
-    dropped; an empty scene yields an empty list.
+    dropped; a scene with no foreground point yields an empty list.
     """
     p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    try:
-        instances = cluster_instances(p, pred, cluster_params)
-    except EmptyScene:
-        return []
-
     predictions = []
-    for inst in instances:
+    for inst in cluster_instances(p, pred, cluster_params):
         try:
             result = recover_pose(
                 inst.npcs_coords, p[inst.point_indices], params=ransac_params
@@ -56,9 +51,7 @@ def run_scene_pipeline(
         )
         predictions.append(
             InstancePrediction(
-                inst.semantic_class,
-                inst.point_indices,
-                PoseResult(result.transform, result.size, result.inliers, axis),
+                inst.semantic_class, inst.point_indices, replace(result, axis=axis)
             )
         )
     return predictions

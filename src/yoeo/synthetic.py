@@ -22,6 +22,7 @@ from .geometry import Sim3Transform, rotation_about_axis
 from .npcs import JointAxis, canonicalize_part, transform_axis
 from .parts import (
     ARTICULATION_LIMITS,
+    BACKGROUND_CLASS,
     KIND_TO_CLASS,
     NUM_CLASSES,
     canonical_joint_axis,
@@ -360,7 +361,7 @@ def render_scene(spec: ArticulatedObjectSpec, cfg: GenConfig) -> Scene:
     for obj_idx, obj in enumerate(specs):
         offset = np.array([obj_idx * spacing, 0.0, 0.0])
         body_pose = Sim3Transform(1.0, np.eye(3), offset)
-        boxes.append((obj.body_extents, body_pose, 0, -1))
+        boxes.append((obj.body_extents, body_pose, BACKGROUND_CLASS, -1))
         for part in obj.parts:
             world = body_pose.compose(articulated_part_pose(part))
             boxes.append((part.extents, world, KIND_TO_CLASS[part.kind], next_instance))
@@ -406,8 +407,7 @@ def render_scene(spec: ArticulatedObjectSpec, cfg: GenConfig) -> Scene:
         all_sem.append(np.full(len(local), sem, dtype=np.int64))
         all_inst.append(np.full(len(local), inst_id, dtype=np.int64))
         if inst_id >= 0:
-            npcs, _ = canonicalize_part(points_cam, cam_pose, extents)
-            all_npcs.append(npcs)
+            all_npcs.append(canonicalize_part(points_cam, cam_pose, extents))
         else:
             all_npcs.append(np.full((len(local), 3), np.nan))
 
@@ -586,8 +586,9 @@ def _labels(values, n: int, what: str) -> np.ndarray:
 def scene_from_dict(data) -> Scene:
     """Inverse of `scene_to_dict`; raises SceneFormatError for anything
     that is not a version-2 scene with arrays of agreeing shapes, finite
-    points, classes in [0, NUM_CLASSES) and instance ids in
-    [-1, number of instance records)."""
+    points, classes in [0, NUM_CLASSES), instance ids in
+    [-1, number of instance records), and each point's class equal to
+    its instance record's class (BACKGROUND_CLASS for instance -1)."""
     version = _get(data, "version", "scene")
     if version == 1:
         raise SceneFormatError(
@@ -621,12 +622,23 @@ def scene_from_dict(data) -> Scene:
         raise SceneFormatError(
             f"gt_instance {instance[outside][0]} is outside [-1, {len(instances)})"
         )
+    records = tuple(record_from_dict(item) for item in instances)
+    # Entry 0 is the class of instance -1, the background.
+    record_class = np.array([BACKGROUND_CLASS, *(r.semantic_class for r in records)])
+    owner_class = record_class[instance + 1]
+    disagree = np.flatnonzero(semantic != owner_class)
+    if disagree.size:
+        i = disagree[0]
+        raise SceneFormatError(
+            f"point {i} has gt_semantic {semantic[i]} but its gt_instance "
+            f"{instance[i]} is class {owner_class[i]}"
+        )
     return Scene(
         points=points,
         gt_semantic=semantic,
         gt_instance=instance,
         gt_npcs=npcs,
-        instances=tuple(record_from_dict(item) for item in instances),
+        instances=records,
         camera_pose=_transform_from_dict(
             _get(data, "camera_pose", "scene"), 1.0, "camera_pose"
         ),

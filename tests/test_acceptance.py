@@ -127,8 +127,8 @@ def test_c03_npcs_quantization_bound():
         local = rng.uniform(-0.5, 0.5, size=(200, 3)) * extents
         pose = Sim3Transform(1.0, random_rotation(rng), rng.uniform(-1, 1, 3))
         metric = pose.apply(local)
-        npcs, canon = canonicalize_part(metric, pose, extents)
-        gt_translation = pose.translation - canon.norm_factor * (
+        npcs = canonicalize_part(metric, pose, extents)
+        gt_translation = pose.translation - np.linalg.norm(extents) * (
             pose.rotation @ np.full(3, 0.5)
         )
         result = recover_pose(

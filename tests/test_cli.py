@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from yoeo import errors
 from yoeo.cli import (
     GEN_CONFIG_PARAMS,
     PRED_SCHEMA_VERSION,
@@ -412,6 +413,19 @@ class TestInfer:
             err = capsys.readouterr().err
             assert err.startswith("YOEO-E19:")
             assert f"gt_semantic class {label} is outside [0, 4)" in err
+
+    def test_label_disagreeing_with_instance_rejected(self, tmp_path, capsys):
+        data = generate(tmp_path, count=1)
+        path = data / "scene_00000.json"
+        scene = json.loads(path.read_text())
+        point = scene["gt_instance"].index(-1)
+        scene["gt_semantic"][point] = 1
+        path.write_text(json.dumps(scene))
+        code = run("infer", "--data", data, "--oracle", "--out", tmp_path / "p")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("YOEO-E19:")
+        assert f"point {point} has gt_semantic 1 but its gt_instance -1 is class 0" in err
 
     @pytest.mark.parametrize("weights", [False, True], ids=["oracle", "weights"])
     def test_huge_coordinates_rejected_at_load(self, tmp_path, capsys, weights):
@@ -917,3 +931,14 @@ def test_resolved_config_round_trips(tmp_path, roundtrip_inputs, command):
     cfg.write_bytes(first)
     assert run(command, "--config", cfg) == 0
     assert (out / "resolved_config.json").read_bytes() == first
+
+
+def test_error_codes_are_distinct():
+    # Each YOEO-E<code> prefix names exactly one error type.
+    types = [
+        obj for obj in vars(errors).values()
+        if isinstance(obj, type) and issubclass(obj, errors.YoeoError)
+    ]
+    assert len(types) >= 10
+    codes = [t.code for t in types]
+    assert len(set(codes)) == len(codes), sorted(codes)

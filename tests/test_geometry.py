@@ -15,8 +15,7 @@ from yoeo.geometry import (
     check_rotation,
     random_rotation,
     ransac_align,
-    rot_x,
-    rot_z,
+    rotation_about_axis,
     rotation_geodesic_deg,
     umeyama_align,
 )
@@ -48,7 +47,9 @@ class TestUmeyama:
 
     def test_recovers_known_transform(self):
         rng = np.random.default_rng(7)
-        truth = Sim3Transform(2.0, rot_z(np.pi / 2), np.array([1.0, 2.0, 3.0]))
+        truth = Sim3Transform(
+            2.0, rotation_about_axis([0, 0, 1], np.pi / 2), np.array([1.0, 2.0, 3.0])
+        )
         src = rng.uniform(-1, 1, size=(50, 3))
         dst = truth.apply(src)
         est = umeyama_align(src, dst)
@@ -386,12 +387,12 @@ class TestGeodesic:
         assert rotation_geodesic_deg(np.eye(3), np.eye(3)) == 0.0
 
     def test_axis_angle_by_construction(self):
-        r = rot_x(np.deg2rad(30.0))
+        r = rotation_about_axis([1, 0, 0], np.deg2rad(30.0))
         assert rotation_geodesic_deg(np.eye(3), r) == pytest.approx(30.0, abs=1e-9)
 
     def test_composition_on_shared_axis(self):
-        a = rot_z(np.deg2rad(10.0))
-        b = rot_z(np.deg2rad(-10.0))
+        a = rotation_about_axis([0, 0, 1], np.deg2rad(10.0))
+        b = rotation_about_axis([0, 0, 1], np.deg2rad(-10.0))
         assert rotation_geodesic_deg(a, b) == pytest.approx(20.0, abs=1e-9)
 
     def test_symmetry_and_zero_iff_equal(self):

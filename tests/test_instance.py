@@ -7,7 +7,6 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 import yoeo.instance
-from yoeo.errors import EmptyScene
 from yoeo.instance import (
     ClusterParams,
     PerPointPrediction,
@@ -146,12 +145,11 @@ class TestClustering:
             expected = np.flatnonzero(labels == instance.semantic_class)
             np.testing.assert_array_equal(instance.point_indices, expected)
 
-    def test_background_excluded_and_empty_scene_raises(self):
+    def test_background_excluded_and_empty_scene_gives_no_instances(self):
         rng = np.random.default_rng(6)
         pts, labels, _ = build_scene(rng, [(0, [0, 0, 0], 80)])
         pred = make_prediction(pts, labels)
-        with pytest.raises(EmptyScene):
-            cluster_instances(pts, pred)
+        assert cluster_instances(pts, pred) == []
 
     def test_min_points_discards_small_clusters(self):
         rng = np.random.default_rng(7)

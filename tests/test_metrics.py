@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from yoeo.geometry import Sim3Transform, random_rotation, rot_z
+from yoeo.geometry import Sim3Transform, random_rotation, rotation_about_axis
 from yoeo.metrics import (
     PoseErrors,
     UNMATCHED,
@@ -68,7 +68,9 @@ def axis_z():
 
 class TestPoseErrors:
     def gt_pose(self):
-        return Sim3Transform(0.3, rot_z(0.3), np.array([0.1, -0.2, 0.5]))
+        return Sim3Transform(
+            0.3, rotation_about_axis([0, 0, 1], 0.3), np.array([0.1, -0.2, 0.5])
+        )
 
     def test_zero_diagonal(self):
         gt = self.gt_pose()
@@ -113,7 +115,7 @@ class TestBoxIou:
 
     def test_identical_boxes_exactly_one(self):
         size = np.array([0.2, 0.3, 0.1])
-        rot = rot_z(0.7)
+        rot = rotation_about_axis([0, 0, 1], 0.7)
         iou = box_iou3d(
             np.ones(3), rot, size, np.ones(3), rot, size
         )
@@ -141,8 +143,8 @@ class TestBoxIou:
         # The exact value agrees with a seeded 40k-sample Monte-Carlo
         # estimate over the union's bounding box.
         size = np.array([1.0, 0.5, 0.25])
-        args = (np.zeros(3), rot_z(0.4), size,
-                np.array([0.2, 0.1, 0.0]), rot_z(0.9), size)
+        args = (np.zeros(3), rotation_about_axis([0, 0, 1], 0.4), size,
+                np.array([0.2, 0.1, 0.0]), rotation_about_axis([0, 0, 1], 0.9), size)
         boxes = (args[:2], args[3:5])
         half = size / 2.0
         signs = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1)
@@ -158,7 +160,8 @@ class TestBoxIou:
     def test_concentric_cube_turned_45_degrees(self):
         # The overlap is a regular octagonal prism of area 2(sqrt 2 - 1).
         size = np.ones(3)
-        iou = box_iou3d(np.zeros(3), np.eye(3), size, np.zeros(3), rot_z(np.pi / 4), size)
+        turned = rotation_about_axis([0, 0, 1], np.pi / 4)
+        iou = box_iou3d(np.zeros(3), np.eye(3), size, np.zeros(3), turned, size)
         assert iou == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-9)
 
     def test_nested_rotated_half_size_cube(self):

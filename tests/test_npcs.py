@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from yoeo.errors import DegenerateExtents
-from yoeo.geometry import RansacParams, Sim3Transform, random_rotation, rot_z
+from yoeo.geometry import (
+    RansacParams,
+    Sim3Transform,
+    random_rotation,
+    rotation_about_axis,
+)
 from yoeo.npcs import (
     JointAxis,
     canonicalize_part,
@@ -60,37 +65,35 @@ class TestCanonicalize:
     def test_box_corners_symmetric_with_unit_diagonal(self):
         extents = np.array([0.2, 0.1, 0.05])
         corners = box_corners(extents)
-        coords, canon = canonicalize_part(corners, Sim3Transform.identity(), extents)
+        coords = canonicalize_part(corners, Sim3Transform.identity(), extents)
         assert np.allclose(coords.mean(axis=0), 0.5)
         assert np.allclose(coords + coords[::-1], 1.0)  # symmetric about center
         diag = np.linalg.norm(coords.max(axis=0) - coords.min(axis=0))
         assert diag == pytest.approx(1.0, abs=1e-12)
-        assert canon.norm_factor == pytest.approx(np.linalg.norm(extents))
-        assert np.linalg.norm(canon.canonical_extents) == pytest.approx(1.0)
 
     def test_center_maps_to_center(self):
         extents = np.array([0.3, 0.2, 0.1])
         rng = np.random.default_rng(0)
         pose = Sim3Transform(1.0, random_rotation(rng), rng.uniform(-1, 1, 3))
-        coords, _ = canonicalize_part(pose.translation, pose, extents)
+        coords = canonicalize_part(pose.translation, pose, extents)
         assert np.allclose(coords, 0.5, atol=1e-12)
 
     def test_pose_invariance(self):
         rng = np.random.default_rng(1)
         extents = np.array([0.25, 0.15, 0.1])
         local = rng.uniform(-0.5, 0.5, size=(40, 3)) * extents
-        base, _ = canonicalize_part(local, Sim3Transform.identity(), extents)
+        base = canonicalize_part(local, Sim3Transform.identity(), extents)
         for _ in range(5):
             pose = Sim3Transform(1.0, random_rotation(rng), rng.uniform(-2, 2, 3))
             posed = pose.apply(local)
-            coords, _ = canonicalize_part(posed, pose, extents)
+            coords = canonicalize_part(posed, pose, extents)
             assert np.abs(coords - base).max() < 1e-12
 
     def test_outputs_stay_in_unit_cube(self):
         rng = np.random.default_rng(2)
         extents = np.array([0.4, 0.3, 0.2])
         local = rng.uniform(-0.5, 0.5, size=(200, 3)) * extents
-        coords, _ = canonicalize_part(local, Sim3Transform.identity(), extents)
+        coords = canonicalize_part(local, Sim3Transform.identity(), extents)
         assert coords.min() >= 0.0 and coords.max() <= 1.0
 
     def test_degenerate_extents(self):
@@ -105,17 +108,18 @@ class TestRecoverPose:
         local = rng.uniform(-0.5, 0.5, size=(n, 3)) * extents
         pose = Sim3Transform(1.0, random_rotation(rng), rng.uniform(-1, 1, 3))
         metric = pose.apply(local)
-        npcs, canon = canonicalize_part(metric, pose, extents)
+        npcs = canonicalize_part(metric, pose, extents)
         # Ground-truth canonical->camera transform implied by the convention.
+        diagonal = np.linalg.norm(extents)
         gt = Sim3Transform(
-            canon.norm_factor,
+            diagonal,
             pose.rotation,
-            pose.translation - canon.norm_factor * pose.rotation @ np.full(3, 0.5),
+            pose.translation - diagonal * pose.rotation @ np.full(3, 0.5),
         )
-        return npcs, metric, canon, gt, rng
+        return npcs, metric, gt, rng
 
     def test_noiseless_roundtrip(self):
-        npcs, metric, canon, gt, _ = self.make_part(seed=10)
+        npcs, metric, gt, _ = self.make_part(seed=10)
         result = recover_pose(npcs, metric, params=RansacParams(rng_seed=1))
         assert abs(result.transform.scale - gt.scale) < 1e-9
         assert np.abs(result.transform.rotation - gt.rotation).max() < 1e-9
@@ -124,7 +128,7 @@ class TestRecoverPose:
 
     def test_quantized_translation_bound(self):
         for seed in range(10, 16):
-            npcs, metric, canon, gt, _ = self.make_part(seed=seed)
+            npcs, metric, gt, _ = self.make_part(seed=seed)
             quantized = decode_bins(encode_bins(npcs))
             result = recover_pose(
                 quantized, metric, params=RansacParams(rng_seed=2)
@@ -133,7 +137,7 @@ class TestRecoverPose:
             assert te < result.transform.scale * 0.01
 
     def test_planted_outliers(self):
-        npcs, metric, canon, gt, rng = self.make_part(seed=11, n=300)
+        npcs, metric, gt, rng = self.make_part(seed=11, n=300)
         corrupted = metric.copy()
         bad = rng.choice(300, size=90, replace=False)  # 30%
         corrupted[bad] = rng.uniform(-1, 1, size=(90, 3))
@@ -148,7 +152,7 @@ class TestRecoverPose:
         assert te < 0.005
 
     def test_size_is_scale_times_inlier_bbox(self):
-        npcs, metric, canon, gt, rng = self.make_part(seed=12)
+        npcs, metric, gt, rng = self.make_part(seed=12)
         part_bbox = npcs.max(axis=0) - npcs.min(axis=0)
         # Two junk correspondences at the cube corners would stretch an
         # all-point bounding box; as outliers they must not reach size.
@@ -171,7 +175,7 @@ class TestRecoverPose:
         for sigma in levels:
             errors = []
             for seed in range(20, 35):
-                npcs, metric, canon, gt, _ = self.make_part(seed=seed)
+                npcs, metric, gt, _ = self.make_part(seed=seed)
                 noisy = np.clip(npcs + rng.normal(0, sigma, npcs.shape), 0, 1)
                 params = RansacParams(
                     inlier_threshold=max(0.01, 6 * sigma), rng_seed=seed
@@ -201,7 +205,7 @@ class TestTransformAxis:
 
     def test_rotation_rotates_direction(self):
         axis = JointAxis(np.zeros(3), np.array([1.0, 0, 0]), "revolute")
-        t = Sim3Transform(1.0, rot_z(np.pi / 2), np.zeros(3))
+        t = Sim3Transform(1.0, rotation_about_axis([0, 0, 1], np.pi / 2), np.zeros(3))
         out = transform_axis(axis, t)
         assert np.allclose(out.direction, [0.0, 1.0, 0.0], atol=1e-12)
 

@@ -1,0 +1,54 @@
+"""The benchmark under perfbench/ calls the program by name: trace mode
+wraps `cli.load_scene`, `pipeline.recover_pose`, `geometry.umeyama_align`
+and others, and its checks read prediction fields. These tests run it,
+and its self-check, on a copy of `src/` and `perfbench/`, so a rename or
+deletion in `src/` that the benchmark depends on fails here and nothing
+is written under the repository."""
+
+import json
+import os
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def checkout(tmp_path_factory):
+    root = tmp_path_factory.mktemp("checkout")
+    skip = shutil.ignore_patterns("__pycache__", "*.egg-info", "out")
+    for name in ("src", "perfbench"):
+        shutil.copytree(REPO / name, root / name, ignore=skip)
+    return root
+
+
+def run_script(checkout, *argv):
+    # The benchmark imports yoeo from the copy's src/ and refuses any other.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, *map(str, argv)],
+        cwd=checkout, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("workload", ["net_4k", "oracle_noisy_4k", "batch_cli"])
+def test_traced_workload_runs_and_checks_out(checkout, workload):
+    last = run_script(checkout, "perfbench/run.py", "--workload", workload,
+                      "--seed", 3, "--seconds", 0.3, "--trace", 1)
+    result = json.loads(last)
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["attempted"] > 0
+
+
+def test_selfcheck_catches_every_corruption(checkout):
+    last = run_script(checkout, "perfbench/selfcheck.py")
+    found = re.fullmatch(r"(\d+)/(\d+) checks behave", last)
+    assert found and found.group(1) == found.group(2), last

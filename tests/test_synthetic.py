@@ -2,6 +2,7 @@ import base64
 import dataclasses
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -460,6 +461,8 @@ class TestSceneIO:
     @pytest.mark.parametrize("label", [-1, 4, 7])
     def test_semantic_label_outside_classes_rejected(self, label):
         data = tiny_scene_dict()
+        data["instances"] = [{**tiny_record_dict(), "class": c} for c in (3, 2)]
+        data["gt_instance"] = [-1, 0, 1]
         data["gt_semantic"] = [0, 3, 2]
         assert scene_from_dict(data).gt_semantic.tolist() == [0, 3, 2]
         data["gt_semantic"] = [0, 1, label]
@@ -479,10 +482,28 @@ class TestSceneIO:
         data = tiny_scene_dict()
         data["instances"] = data["instances"][:records]
         data["gt_instance"] = [-1, -1, -1]
+        data["gt_semantic"] = [0, 0, 0]
         assert scene_from_dict(data).gt_instance.tolist() == [-1, -1, -1]
         data["gt_instance"] = [-1, 0, label]
         with pytest.raises(SceneFormatError,
                            match=rf"gt_instance {label} is outside \[-1, {records}\)") as info:
+            scene_from_dict(data)
+        assert info.value.code == 19
+
+    @pytest.mark.parametrize(
+        "semantic, message",
+        [
+            ([1, 1, 1], "point 0 has gt_semantic 1 but its gt_instance -1 is class 0"),
+            ([0, 1, 0], "point 2 has gt_semantic 0 but its gt_instance 0 is class 1"),
+            ([0, 1, 3], "point 2 has gt_semantic 3 but its gt_instance 0 is class 1"),
+        ],
+        ids=["background-labelled-drawer", "part-labelled-background", "part-other-class"],
+    )
+    def test_label_disagreeing_with_instance_rejected(self, semantic, message):
+        # tiny_scene_dict's gt_instance is [-1, 0, 0] and record 0 is class 1.
+        data = tiny_scene_dict()
+        data["gt_semantic"] = semantic
+        with pytest.raises(SceneFormatError, match=re.escape(message)) as info:
             scene_from_dict(data)
         assert info.value.code == 19
 
