@@ -1,14 +1,17 @@
 """Command-line entry point: generate | train | infer | eval.
 
 Each command declares its parameters once, in a table of config key ->
-(type, default[, help]); the flags (``--learning-rate`` for
+(type, default[, help]). A config dataclass's fields enter the table
+from the dataclass, typed by their defaults, and `_build` makes the
+dataclass from the resolved values. The flags (``--learning-rate`` for
 ``learning_rate``, plus ``--no-...`` for bool keys), the defaults and the
-accepted config keys all come from it. Parameters resolve from the
-defaults, then an optional JSON config file, then explicitly passed flags
-(flags win), and are echoed into the output directory. A config key the
-command does not use, or a config value of the wrong type, is an error.
-All errors print a machine-parsable
-``YOEO-E<code>:`` prefix on stderr and exit non-zero.
+accepted config keys all come from the table. Parameters resolve from
+the defaults, then an optional JSON config file, then explicitly passed
+flags (flags win), and are echoed into the output directory. A config
+key the command does not use, or a config value of the wrong type, is an
+error. Every command reads all of its inputs before it writes anything.
+All errors print a machine-parsable ``YOEO-E<code>:`` prefix on stderr
+and exit non-zero.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .pipeline import InstancePrediction, run_scene_pipeline
 from .synthetic import (
     GenConfig,
     InstanceRecord,
+    Scene,
     _as_array,
     _get,
     export_ply,
@@ -65,6 +69,22 @@ PRED_SCHEMA_VERSION = 1
 # range, a list as long as its default.
 OUT_PARAM = {"out": (str, None, "output directory")}
 
+# Config dataclass fields that a key of another name sets; every other
+# field is set by the key of its own name.
+_FIELD_KEYS = {"rng_seed": "seed", "points_per_scene": "points",
+               "semantic_flip_prob": "flip_prob", "max_iterations": "ransac_iterations"}
+
+
+def _fields(cls, *skip: str) -> dict:
+    """Table entries for the fields of config dataclass `cls` but `skip`:
+    each under its key, typed by its default."""
+    return {
+        _FIELD_KEYS.get(field.name, field.name): (type(field.default), field.default)
+        for field in dataclasses.fields(cls)
+        if field.name not in skip
+    }
+
+
 GENERATE_PARAMS = {
     **OUT_PARAM,
     "seed": (int, None),
@@ -76,29 +96,19 @@ GENERATE_PARAMS = {
     "jobs": (int, 1),
 }
 
-# GenConfig fields a generate config file may set, typed by their defaults
-# (partial_view and objects_per_scene also have flags). rng_seed is always
-# --seed + scene index, and points_per_scene always --points.
-GEN_CONFIG_PARAMS = {
-    name: (type(field.default), field.default)
-    for name, field in GenConfig.__dataclass_fields__.items()
-    if name not in ("rng_seed", "points_per_scene")
-}
+# GenConfig fields a generate config file may set (partial_view and
+# objects_per_scene also have flags). rng_seed is always --seed + scene
+# index, and points_per_scene always --points.
+GEN_CONFIG_PARAMS = _fields(GenConfig, "rng_seed", "points_per_scene")
 
 TRAIN_PARAMS = {
     **OUT_PARAM,
     "seed": (int, None),
     "data": (str, None, "directory of scene_*.json files"),
-    "epochs": (int, TrainConfig.epochs),
-    "learning_rate": (float, TrainConfig.learning_rate),
-    "momentum": (float, TrainConfig.momentum),
-    "batch_scenes": (int, TrainConfig.batch_scenes),
+    **_fields(TrainConfig, "rng_seed", "freeze"),
     "hidden1": (int, DEFAULT_HIDDEN[0]),
     "hidden2": (int, DEFAULT_HIDDEN[1]),
     "k": (int, DEFAULT_K),
-    "w_sem": (float, TrainConfig.w_sem),
-    "w_center": (float, TrainConfig.w_center),
-    "w_npcs": (float, TrainConfig.w_npcs),
     "freeze": (
         ("sem", "center", "npcs"),
         TrainConfig.freeze,
@@ -112,14 +122,9 @@ INFER_PARAMS = {
     "data": (str, None),
     "weights": (str, None),
     "oracle": (bool, False),
-    "offset_sigma": (float, OracleNoise.offset_sigma),
-    "npcs_sigma": (float, OracleNoise.npcs_sigma),
-    "flip_prob": (float, OracleNoise.semantic_flip_prob),
-    "bandwidth": (float, ClusterParams.bandwidth),
-    "min_points": (int, ClusterParams.min_points),
-    "inlier_threshold": (float, RansacParams.inlier_threshold),
-    "ransac_iterations": (int, RansacParams.max_iterations),
-    "min_inlier_fraction": (float, RansacParams.min_inlier_fraction),
+    **_fields(OracleNoise, "rng_seed"),
+    **_fields(ClusterParams),
+    **_fields(RansacParams, "rng_seed"),
     "jobs": (int, 1),
 }
 
@@ -131,9 +136,6 @@ EVAL_PARAMS = {
 }
 
 _FLAG_KEYS = {*GENERATE_PARAMS, *TRAIN_PARAMS, *INFER_PARAMS, *EVAL_PARAMS}
-# Constructor fields that a parameter of another name sets.
-_FIELD_KEYS = {"points_per_scene": "points", "semantic_flip_prob": "flip_prob",
-               "max_iterations": "ransac_iterations"}
 
 
 def _flag(key: str) -> str:
@@ -251,18 +253,17 @@ def _checked(build, *args, **kwargs):
         raise ConfigError(message) from exc
 
 
-def _gen_config(resolved: dict) -> GenConfig:
-    overrides = {
-        name: tuple(value) if isinstance(value, list) else value
-        for name, value in resolved.items()
-        if name in GEN_CONFIG_PARAMS
-    }
-    return _checked(
-        GenConfig,
-        rng_seed=resolved["seed"],
-        points_per_scene=resolved["points"],
-        **overrides,
-    )
+def _build(cls, resolved: dict):
+    """Config dataclass `cls`, each field set from its key's resolved value
+    (a list as a tuple); a field whose key is not resolved keeps its
+    default."""
+    values = {}
+    for field in dataclasses.fields(cls):
+        key = _FIELD_KEYS.get(field.name, field.name)
+        if key in resolved:
+            value = resolved[key]
+            values[field.name] = tuple(value) if isinstance(value, list) else value
+    return _checked(cls, **values)
 
 
 def _run_jobs(func, tasks: list, jobs: int) -> list:
@@ -289,7 +290,7 @@ def cmd_generate(args) -> int:
     resolved = _resolve(args, GENERATE_PARAMS, GEN_CONFIG_PARAMS)
     _require(resolved, "seed", "generate")
     _require_at_least_one(resolved, "count", "jobs")
-    cfg = _gen_config(resolved)
+    cfg = _build(GenConfig, resolved)
     out = _prepare_out_dir(resolved, "generate")
 
     ply = resolved["export_ply"]
@@ -312,11 +313,18 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _scene_paths(data_dir: str) -> list[Path]:
+def _scene_files(data_dir: str) -> list[Path]:
+    """The scene_*.json files under `data_dir`, in name order."""
     paths = sorted(Path(data_dir).glob("scene_*.json"))
     if not paths:
         raise ConfigError(f"no scene_*.json files under {data_dir}")
     return paths
+
+
+def _load_scenes(data_dir: str) -> dict[str, Scene]:
+    """Every scene under `data_dir` by file name, loaded and checked; the
+    commands that need them all call this before they write any output."""
+    return {path.name: load_scene(path) for path in _scene_files(data_dir)}
 
 
 def cmd_train(args) -> int:
@@ -327,19 +335,8 @@ def cmd_train(args) -> int:
     params = init_params(
         hidden=(resolved["hidden1"], resolved["hidden2"]), k=resolved["k"], rng_seed=seed
     )
-    cfg = _checked(
-        TrainConfig,
-        learning_rate=resolved["learning_rate"],
-        momentum=resolved["momentum"],
-        epochs=resolved["epochs"],
-        batch_scenes=resolved["batch_scenes"],
-        w_sem=resolved["w_sem"],
-        w_center=resolved["w_center"],
-        w_npcs=resolved["w_npcs"],
-        rng_seed=seed,
-        freeze=tuple(resolved["freeze"]),
-    )
-    dataset = [scene_to_sample(load_scene(p)) for p in _scene_paths(data)]
+    cfg = _build(TrainConfig, resolved)
+    dataset = [scene_to_sample(scene) for scene in _load_scenes(data).values()]
     out = _prepare_out_dir(resolved, "train")
 
     weights_path = out / "weights.bin"
@@ -399,23 +396,40 @@ def prediction_from_dict(data, n_points: int) -> InstancePrediction:
     )
 
 
-def _infer_one(task) -> str:
-    noise, weights, cluster, ransac, scene_path, out = task
+def _read_predictions(path: Path, n_points: int) -> list[InstancePrediction]:
+    """The instances of one prediction file for a scene of `n_points`; an
+    unreadable file, text that is not UTF-8 JSON, or a malformed payload or
+    record raises ConfigError that names the file."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        version = _get(payload, "version", "prediction")
+        if version != PRED_SCHEMA_VERSION:
+            raise SceneFormatError(f"unsupported prediction version {version!r}")
+        instances = _get(payload, "instances", "prediction")
+        if not isinstance(instances, list):
+            raise SceneFormatError("prediction instances must be a list")
+        return [prediction_from_dict(item, n_points) for item in instances]
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, SceneFormatError) as exc:
+        raise ConfigError(f"prediction file {path}: {exc}") from exc
+
+
+def _infer_one(task) -> tuple[str, str]:
+    """The prediction file name and text for one scene file; writes nothing."""
+    noise, weights, cluster, ransac, scene_path = task
     scene = load_scene(scene_path)
     if weights is None:
         pred = oracle_predict(scene, noise)
     else:
         pred = forward(weights, scene.points)
     instances = run_scene_pipeline(scene.points, pred, cluster, ransac)
-    name = Path(scene_path).name.replace("scene_", "pred_")
     payload = {
         "version": PRED_SCHEMA_VERSION,
-        "scene": Path(scene_path).name,
+        "scene": scene_path.name,
         "instances": [prediction_to_dict(p) for p in instances],
     }
     # dumps, not dump: the C encoder, same bytes (see synthetic.save_scene).
-    (Path(out) / name).write_text(json.dumps(payload))
-    return name
+    return scene_path.name.replace("scene_", "pred_"), json.dumps(payload)
 
 
 def cmd_infer(args) -> int:
@@ -426,75 +440,42 @@ def cmd_infer(args) -> int:
     if resolved["oracle"] and resolved["weights"] is not None:
         raise ConfigError("infer takes --weights or --oracle, not both")
     if not resolved["oracle"]:
-        noise = ("offset_sigma", "npcs_sigma", "flip_prob")
-        ignored = [key for key in noise if resolved[key] != 0]
+        ignored = [key for key in _fields(OracleNoise, "rng_seed") if resolved[key] != 0]
         if ignored:
             raise ConfigError(f"oracle noise ({', '.join(ignored)}) needs --oracle")
     _require_at_least_one(resolved, "jobs")
-    noise = _checked(
-        OracleNoise,
-        offset_sigma=resolved["offset_sigma"],
-        npcs_sigma=resolved["npcs_sigma"],
-        semantic_flip_prob=resolved["flip_prob"],
-        rng_seed=resolved["seed"],
-    )
+    noise = _build(OracleNoise, resolved)
     weights = None if resolved["oracle"] else _checked(load_weights, resolved["weights"])
-    cluster = _checked(
-        ClusterParams, bandwidth=resolved["bandwidth"], min_points=resolved["min_points"]
-    )
-    ransac = _checked(
-        RansacParams,
-        max_iterations=resolved["ransac_iterations"],
-        inlier_threshold=resolved["inlier_threshold"],
-        rng_seed=resolved["seed"],
-        min_inlier_fraction=resolved["min_inlier_fraction"],
-    )
-    paths = _scene_paths(data)
-    out = _prepare_out_dir(resolved, "infer")
+    cluster = _build(ClusterParams, resolved)
+    ransac = _build(RansacParams, resolved)
 
-    tasks = [(noise, weights, cluster, ransac, str(p), str(out)) for p in paths]
-    names = _run_jobs(_infer_one, tasks, resolved["jobs"])
-    print(f"wrote {len(names)} prediction files to {out}")
+    # Each worker reads its own scene; the files are written only once every
+    # scene has been read and inferred, so a bad scene leaves no output.
+    tasks = [(noise, weights, cluster, ransac, path) for path in _scene_files(data)]
+    files = _run_jobs(_infer_one, tasks, resolved["jobs"])
+    out = _prepare_out_dir(resolved, "infer")
+    for name, text in files:
+        (out / name).write_text(text)
+    print(f"wrote {len(files)} prediction files to {out}")
     return 0
 
 
 def cmd_eval(args) -> int:
     resolved = _resolve(args, EVAL_PARAMS)
     data = _require(resolved, "data", "eval")
-    preds_dir = _require(resolved, "preds", "eval")
+    preds = Path(_require(resolved, "preds", "eval"))
 
-    scenes, predictions = [], []
-    for scene_path in _scene_paths(data):
-        pred_path = Path(preds_dir) / scene_path.name.replace("scene_", "pred_")
-        if not pred_path.exists():
-            raise ConfigError(f"missing prediction file {pred_path}")
-        try:
-            with open(pred_path) as fh:
-                payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"invalid JSON in prediction file {pred_path}: {exc}"
-            ) from exc
-        if not isinstance(payload, dict):
-            raise ConfigError(f"prediction file {pred_path} must hold a JSON object")
-        if payload.get("version") != PRED_SCHEMA_VERSION:
-            raise ConfigError(f"unsupported prediction version in {pred_path}")
-        if not isinstance(payload.get("instances"), list):
-            raise ConfigError(f"prediction file {pred_path} has no instances list")
-        scenes.append(load_scene(scene_path))
-        n_points = len(scenes[-1].points)
-        try:
-            predictions.append(
-                [prediction_from_dict(item, n_points) for item in payload["instances"]]
-            )
-        except SceneFormatError as exc:
-            raise ConfigError(f"prediction file {pred_path}: {exc}") from exc
+    scenes = _load_scenes(data)
+    predictions = [
+        _read_predictions(preds / name.replace("scene_", "pred_"), len(scene.points))
+        for name, scene in scenes.items()
+    ]
 
     param_count = None
     if resolved["weights"]:
         param_count = _checked(load_weights, resolved["weights"]).num_parameters()
     out = _prepare_out_dir(resolved, "eval")
-    report = evaluate_scenes(scenes, predictions, param_count=param_count)
+    report = evaluate_scenes(list(scenes.values()), predictions, param_count=param_count)
     with open(out / "report.json", "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)
     table = report.to_text_table()

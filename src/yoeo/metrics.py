@@ -1,4 +1,4 @@
-"""Evaluation: instance matching, pose errors, box IoU, accuracy, throughput.
+"""Evaluation: instance matching, pose errors, box IoU, accuracy.
 
 Per gt instance the evaluator produces one PoseErrors row; unmatched gt
 instances carry infinite errors so accuracy thresholds count them as
@@ -7,7 +7,6 @@ failures while mean errors aggregate over matched pairs only.
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -269,16 +268,9 @@ def evaluate_scenes(
 
     def summarize(selected: list[PoseErrors]) -> dict[str, float]:
         finite = [e for e in selected if e.matched]
-        if not finite:
-            return {k: float("nan") for k in
-                    ("re_deg", "te", "se", "se_raw", "de", "iou3d")}
         return {
-            "re_deg": float(np.mean([e.re_deg for e in finite])),
-            "te": float(np.mean([e.te for e in finite])),
-            "se": float(np.mean([e.se for e in finite])),
-            "se_raw": float(np.mean([e.se_raw for e in finite])),
-            "de": float(np.mean([e.de for e in finite])),
-            "iou3d": float(np.mean([e.iou3d for e in finite])),
+            key: float(np.mean([getattr(e, key) for e in finite]) if finite else np.nan)
+            for key in ("re_deg", "te", "se", "se_raw", "de", "iou3d")
         }
 
     all_errors = [e for _, e in rows]
@@ -297,29 +289,3 @@ def evaluate_scenes(
         param_count=param_count,
     )
 
-
-def benchmark_throughput(pipeline_fn, inputs, runs: int = 5) -> dict:
-    """Median scenes/second over several timed passes, warm-up excluded.
-
-    `pipeline_fn` is called once per input per pass; results of the
-    warm-up pass are discarded.
-    """
-    if len(inputs) < 10:
-        raise ValueError("need at least 10 scenes to benchmark")
-    for item in inputs:  # warm-up
-        pipeline_fn(item)
-
-    durations = []
-    for _ in range(runs):
-        start = time.perf_counter()
-        for item in inputs:
-            pipeline_fn(item)
-        durations.append(time.perf_counter() - start)
-    median = float(np.median(durations))
-    return {
-        "hz": len(inputs) / median,
-        "median_seconds_per_scene": median / len(inputs),
-        "run_seconds": durations,
-        "scenes": len(inputs),
-        "runs": runs,
-    }

@@ -516,8 +516,9 @@ def _transform_from_dict(data, scale, what: str) -> Sim3Transform:
 
 def record_from_dict(data) -> InstanceRecord:
     """Inverse of `record_to_dict`; raises SceneFormatError for a missing
-    field, a vector of the wrong length, an unknown axis kind, or values
-    that do not make a similarity transform and a joint axis."""
+    field, a class that is not an integer part class in [1, NUM_CLASSES),
+    a vector of the wrong length, an unknown axis kind, or values that do
+    not make a similarity transform and a joint axis."""
     pose = _get(data, "pose", "instance")
     axis = _get(data, "axis", "instance")
     origin = _numbers(_get(axis, "origin", "instance axis"), 3, "axis origin")
@@ -527,10 +528,15 @@ def record_from_dict(data) -> InstanceRecord:
         pose, _get(pose, "s", "instance pose"), "instance pose"
     )
     semantic_class = _get(data, "class", "instance")
+    if type(semantic_class) is not int or not 0 < semantic_class < NUM_CLASSES:
+        raise SceneFormatError(
+            f"instance class must be an integer in [1, {NUM_CLASSES}), "
+            f"not {semantic_class!r}"
+        )
     kind = _get(axis, "kind", "instance axis")
     try:
         return InstanceRecord(
-            int(semantic_class), transform, size, JointAxis(origin, direction, kind)
+            semantic_class, transform, size, JointAxis(origin, direction, kind)
         )
     except (TypeError, ValueError) as exc:
         raise SceneFormatError(f"instance: {exc}") from exc

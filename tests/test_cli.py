@@ -1,5 +1,6 @@
 import argparse
 import base64
+import dataclasses
 import io
 import json
 import re
@@ -8,14 +9,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from yoeo import errors
+from yoeo import cli, errors
 from yoeo.cli import (
+    _FIELD_KEYS,
     GEN_CONFIG_PARAMS,
+    GENERATE_PARAMS,
+    INFER_PARAMS,
     PRED_SCHEMA_VERSION,
+    TRAIN_PARAMS,
+    _build,
     build_parser,
     main,
     prediction_to_dict,
 )
+from yoeo.geometry import RansacParams
+from yoeo.instance import ClusterParams
 from yoeo.network import (
     OracleNoise,
     TrainConfig,
@@ -372,6 +380,13 @@ class TestInfer:
                          id="instance-kind"),
             pytest.param(lambda d: {**d, "camera_pose": {**d["camera_pose"], "t": [0.0]}},
                          id="camera-t-1"),
+            # An extra record that no point belongs to, so only its class is wrong.
+            *(
+                pytest.param(lambda d, c=cls: {**d, "instances": [
+                    *d["instances"], {**d["instances"][0], "class": c}]},
+                             id=f"instance-class-{cls}")
+                for cls in (99, 0, 1.5)
+            ),
         ],
     )
     def test_malformed_scene_file_cases(self, tmp_path, capsys, edit):
@@ -381,6 +396,39 @@ class TestInfer:
         code = run("infer", "--data", data, "--oracle", "--out", tmp_path / "p")
         assert code == 1
         assert "YOEO-E19" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_bad_scene_stops_the_run_before_output(self, tmp_path, capsys, jobs):
+        # infer writes only once every scene has been read and inferred, so
+        # a bad middle scene leaves no predictions of the scenes around it.
+        data = generate(tmp_path, count=3)
+        path = data / "scene_00001.json"
+        scene = json.loads(path.read_text())
+        scene["gt_semantic"][0] = 7
+        path.write_text(json.dumps(scene))
+        out = tmp_path / "p"
+        code = run("infer", "--data", data, "--oracle", "--jobs", jobs, "--out", out)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("YOEO-E19:")
+        assert not out.exists()
+
+    def test_failure_during_inference_leaves_no_output(self, tmp_path, capsys, monkeypatch):
+        data = generate(tmp_path, count=3)
+        calls = []
+        pipeline = cli.run_scene_pipeline
+
+        def fail_on_second_scene(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ValueError("pipeline failed")
+            return pipeline(*args)
+
+        monkeypatch.setattr(cli, "run_scene_pipeline", fail_on_second_scene)
+        out = tmp_path / "p"
+        code = run("infer", "--data", data, "--oracle", "--out", out)
+        assert code == 1
+        assert capsys.readouterr().err == "YOEO-E1: pipeline failed\n"
+        assert not out.exists()
 
     def test_version_1_scene_file_asks_to_regenerate(self, tmp_path, capsys):
         data = generate(tmp_path, count=1)
@@ -772,6 +820,7 @@ class TestEval:
             pytest.param(
                 "pose", {"s": 1.0, "R": [1.0] * 9, "t": [0.0] * 3}, id="bad-pose"
             ),
+            pytest.param("class", 0, id="class-0"),
         ],
     )
     def test_malformed_prediction_record_rejected(self, tmp_path, capsys, field, value):
@@ -821,6 +870,20 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("YOEO-E2:")
         assert str(path) in err
+
+    def test_non_utf8_prediction_file_rejected(self, tmp_path, capsys):
+        data = generate(tmp_path, count=1)
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        path = preds / "pred_00000.json"
+        path.write_bytes(b'\xff{"version": 1}')
+        out = tmp_path / "e"
+        code = run("eval", "--data", data, "--preds", preds, "--out", out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("YOEO-E2:")
+        assert str(path) in err
+        assert not out.exists()
 
     def test_removed_config_key_rejected(self, tmp_path, capsys):
         # eval has no sampling or parallelism knobs; old keys are unknown.
@@ -884,6 +947,50 @@ def test_range_error_names_the_flag(tmp_path, capsys, roundtrip_inputs, argv, me
     assert run(*argv, "--out", out) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+CONFIG_TABLES = [
+    (GenConfig, {**GENERATE_PARAMS, **GEN_CONFIG_PARAMS}),
+    (TrainConfig, TRAIN_PARAMS),
+    (OracleNoise, INFER_PARAMS),
+    (ClusterParams, INFER_PARAMS),
+    (RansacParams, INFER_PARAMS),
+]
+
+
+def other_value(kind, default, step: int):
+    """A valid value for a table entry other than its default; numbers,
+    strings and ranges also differ from those of every other step > 0."""
+    if kind is bool:
+        return not default
+    if isinstance(kind, tuple):  # choices of a repeatable flag
+        return list(kind[:2])
+    if kind is tuple:  # a GenConfig range, as a config file gives it
+        return [item + step for item in default]
+    if kind is str:
+        return f"value-{step}"
+    return (default or 0) + (step if kind is int else step / 128)
+
+
+@pytest.mark.parametrize("cls, table", CONFIG_TABLES,
+                         ids=[cls.__name__ for cls, _ in CONFIG_TABLES])
+def test_each_key_reaches_its_field(cls, table):
+    resolved = {
+        key: other_value(kind, default, step)
+        for step, (key, (kind, default, *_)) in enumerate(table.items(), 1)
+    }
+    built = _build(cls, resolved)
+    for field in dataclasses.fields(cls):
+        key = _FIELD_KEYS.get(field.name, field.name)
+        assert key in table, field.name
+        value = resolved[key]
+        expected = tuple(value) if isinstance(value, list) else value
+        assert getattr(built, field.name) == expected != field.default, field.name
+
+
+def test_field_keys_name_real_fields():
+    fields = {field.name for cls, _ in CONFIG_TABLES for field in dataclasses.fields(cls)}
+    assert set(_FIELD_KEYS) <= fields
 
 
 def test_readme_lists_the_generate_config_keys():

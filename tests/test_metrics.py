@@ -1,5 +1,3 @@
-import time
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -9,7 +7,6 @@ from yoeo.metrics import (
     PoseErrors,
     UNMATCHED,
     accuracy_at,
-    benchmark_throughput,
     box_iou3d,
     evaluate_scenes,
     match_instances,
@@ -262,36 +259,3 @@ class TestEvaluateScenes:
         with pytest.raises(ValueError):
             evaluate_scenes([], [[]])
 
-
-class TestBenchmark:
-    def test_positive_throughput(self):
-        inputs = list(range(10))
-        report = benchmark_throughput(lambda x: sum(range(100)), inputs, runs=3)
-        assert report["hz"] > 0
-        assert len(report["run_seconds"]) == 3
-
-    def test_requires_ten_scenes(self):
-        with pytest.raises(ValueError):
-            benchmark_throughput(lambda x: x, list(range(9)))
-
-    def test_throughput_stability_when_doubling_scenes(self):
-        # The figure is scenes over the median timed pass, so doubling the
-        # scenes must leave it unchanged. Each call waits 2 ms, so a timed
-        # pass lasts at least 20 ms and CPU load on the host barely moves
-        # it. The first call of each benchmark also pays a 100 ms set-up,
-        # which only the warm-up pass may absorb: a figure that counted the
-        # warm-up would favour the longer run.
-        def make_work():
-            calls = []
-
-            def work(_):
-                if not calls:
-                    time.sleep(0.1)
-                calls.append(None)
-                time.sleep(0.002)
-
-            return work
-
-        a = benchmark_throughput(make_work(), list(range(10)), runs=3)
-        b = benchmark_throughput(make_work(), list(range(20)), runs=3)
-        assert abs(a["hz"] - b["hz"]) / a["hz"] < 0.2

@@ -38,7 +38,19 @@ def run_script(checkout, *argv):
     return proc.stdout.strip().splitlines()[-1]
 
 
-@pytest.mark.parametrize("workload", ["net_4k", "oracle_noisy_4k", "batch_cli"])
+# Layer metrics each traced workload must reach. A wrapped name that the
+# program no longer calls reads 0, so these catch a broken trace wiring.
+REACHED_LAYERS = {
+    "net_4k": ["network.point_features.ms", "network.heads.ms",
+               "instance.cluster_instances.ms", "npcs.recover_pose.ms"],
+    "oracle_noisy_4k": ["network.oracle_predict.ms", "npcs.recover_pose.ms",
+                        "geometry.umeyama_align.ms"],
+    "batch_cli": ["synthetic.load_scene.ms", "synthetic.save_scene.ms",
+                  "metrics.evaluate_scenes.ms", "cli.infer.ms", "cli.eval.ms"],
+}
+
+
+@pytest.mark.parametrize("workload", list(REACHED_LAYERS))
 def test_traced_workload_runs_and_checks_out(checkout, workload):
     last = run_script(checkout, "perfbench/run.py", "--workload", workload,
                       "--seed", 3, "--seconds", 0.3, "--trace", 1)
@@ -46,6 +58,9 @@ def test_traced_workload_runs_and_checks_out(checkout, workload):
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] > 0
+    unreached = [name for name in REACHED_LAYERS[workload]
+                 if not result["metrics"][name]["value"] > 0]
+    assert not unreached, unreached
 
 
 def test_selfcheck_catches_every_corruption(checkout):

@@ -629,6 +629,12 @@ class TestSceneIO:
             (("axis", "dir"), [0.0, 0.0, 0.0]),
             (("axis", "kind"), "screw"),
             (("axis", "kind"), None),
+            # A part class is a JSON integer in [1, NUM_CLASSES), never a bool.
+            (("class",), 0),
+            (("class",), 4),
+            (("class",), 1.5),
+            (("class",), "2"),
+            (("class",), True),
         ],
     )
     def test_rejects_malformed_record(self, path, value):
