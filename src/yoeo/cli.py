@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import dataclasses
 import json
@@ -142,19 +143,20 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _load_config_file(path: str) -> dict:
+@contextlib.contextmanager
+def _reading(what: str, path, error=ConfigError):
+    """Raise a failure to read, decode or parse the file as `error` naming it."""
     try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"invalid JSON in {path} at line {exc.lineno}, column {exc.colno}: "
-            f"{exc.msg}"
-        ) from exc
+        yield
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, SceneFormatError) as exc:
+        raise error(f"{what} {path}: {exc}") from exc
+
+
+def _load_config_file(path: str) -> dict:
+    with _reading("config file", path), open(path) as fh:
+        data = json.load(fh)
     if not isinstance(data, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
+        raise ConfigError(f"config file {path}: must hold a JSON object")
     return data
 
 
@@ -321,10 +323,15 @@ def _scene_files(data_dir: str) -> list[Path]:
     return paths
 
 
+def _load_scene(path: Path) -> Scene:
+    with _reading("scene file", path, SceneFormatError):
+        return load_scene(path)
+
+
 def _load_scenes(data_dir: str) -> dict[str, Scene]:
     """Every scene under `data_dir` by file name, loaded and checked; the
     commands that need them all call this before they write any output."""
-    return {path.name: load_scene(path) for path in _scene_files(data_dir)}
+    return {path.name: _load_scene(path) for path in _scene_files(data_dir)}
 
 
 def cmd_train(args) -> int:
@@ -400,7 +407,7 @@ def _read_predictions(path: Path, n_points: int) -> list[InstancePrediction]:
     """The instances of one prediction file for a scene of `n_points`; an
     unreadable file, text that is not UTF-8 JSON, or a malformed payload or
     record raises ConfigError that names the file."""
-    try:
+    with _reading("prediction file", path):
         with open(path) as fh:
             payload = json.load(fh)
         version = _get(payload, "version", "prediction")
@@ -410,14 +417,12 @@ def _read_predictions(path: Path, n_points: int) -> list[InstancePrediction]:
         if not isinstance(instances, list):
             raise SceneFormatError("prediction instances must be a list")
         return [prediction_from_dict(item, n_points) for item in instances]
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, SceneFormatError) as exc:
-        raise ConfigError(f"prediction file {path}: {exc}") from exc
 
 
 def _infer_one(task) -> tuple[str, str]:
     """The prediction file name and text for one scene file; writes nothing."""
     noise, weights, cluster, ransac, scene_path = task
-    scene = load_scene(scene_path)
+    scene = _load_scene(scene_path)
     if weights is None:
         pred = oracle_predict(scene, noise)
     else:

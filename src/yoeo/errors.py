@@ -35,12 +35,6 @@ class TooFewPoints(YoeoError):
     code = 14
 
 
-class ZeroMask(YoeoError):
-    """A masked loss was asked to average over an empty mask."""
-
-    code = 15
-
-
 class NonFiniteLoss(YoeoError):
     code = 16
 

@@ -49,21 +49,6 @@ def rotation_about_axis(axis: np.ndarray, angle_rad: float) -> np.ndarray:
     return np.eye(3) + np.sin(angle_rad) * k + (1.0 - np.cos(angle_rad)) * (k @ k)
 
 
-def random_rotation(rng: np.random.Generator) -> np.ndarray:
-    """Uniform random rotation via a normalized Gaussian quaternion."""
-    q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
-    w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ],
-        dtype=np.float64,
-    )
-
-
 @dataclass(frozen=True)
 class Sim3Transform:
     """Similarity transform {s, R, t}: p -> s * R @ p + t.
@@ -86,10 +71,6 @@ class Sim3Transform:
         t.setflags(write=False)
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
-
-    @classmethod
-    def identity(cls) -> "Sim3Transform":
-        return cls(1.0, np.eye(3), np.zeros(3))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Apply to a single 3-vector or an (N, 3) array."""

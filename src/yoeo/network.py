@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import NonFiniteLoss, TooFewPoints, WeightFormatError, ZeroMask
+from .errors import NonFiniteLoss, TooFewPoints, WeightFormatError
 from .instance import PerPointPrediction
 from .npcs import NUM_BINS, encode_bins
 from .parts import BACKGROUND_CLASS, NUM_CLASSES
@@ -181,42 +181,9 @@ def forward(params: ModelParams, points: np.ndarray) -> PerPointPrediction:
     )
 
 
-def loss_semantic(semantic_probs: np.ndarray, labels: np.ndarray) -> float:
-    """Focal classification loss, mean over points.
-
-    Per point, q is the predicted probability of the true class and the
-    contribution is -FOCAL_ALPHA * (1 - q)^FOCAL_GAMMA * log(q), with q
-    floored at 1e-12 before the log.
-    """
-    probs = np.asarray(semantic_probs, dtype=np.float64)
-    return _semantic_grad(probs, np.asarray(labels))[0]
-
-
-def loss_center(
-    pred_offsets: np.ndarray, gt_offsets: np.ndarray, instance_mask: np.ndarray
-) -> float:
-    """Mean L2 norm of the per-point offset error over masked points."""
-    mask = np.asarray(instance_mask, dtype=bool)
-    if not mask.any():
-        raise ZeroMask("instance_mask selects no points")
-    offsets = np.asarray(pred_offsets, dtype=np.float64)
-    return _center_grad(offsets, np.asarray(gt_offsets, dtype=np.float64), mask)[0]
-
-
-def loss_npcs(
-    pred_logits: np.ndarray, gt_bins: np.ndarray, part_mask: np.ndarray
-) -> float:
-    """Softmax cross-entropy against the true bin, mean over masked
-    points and the three axes."""
-    mask = np.asarray(part_mask, dtype=bool)
-    if not mask.any():
-        raise ZeroMask("part_mask selects no points")
-    logits = np.asarray(pred_logits, dtype=np.float64)
-    return _npcs_grad(logits, np.asarray(gt_bins), mask)[0]
-
-
 def _semantic_grad(probs, labels):
-    """Focal loss and its gradient w.r.t. the logits behind `probs`."""
+    """Focal loss, the mean of -FOCAL_ALPHA * (1 - q)^FOCAL_GAMMA * log(q) for q
+    the true class's probability (floored at 1e-12), and its logit gradient."""
     n = probs.shape[0]
     y = np.asarray(labels)
     rows = np.arange(n)
@@ -238,6 +205,7 @@ def _semantic_grad(probs, labels):
 
 
 def _center_grad(offsets, gt_offsets, mask):
+    """Mean L2 norm of the offset error over masked points, and its gradient."""
     err = offsets - gt_offsets
     norms = np.linalg.norm(err, axis=1)
     m = int(mask.sum())
@@ -249,6 +217,7 @@ def _center_grad(offsets, gt_offsets, mask):
 
 
 def _npcs_grad(npcs_logits, gt_bins, mask):
+    """Bin cross-entropy, mean over masked points and axes, and its gradient."""
     n_all = npcs_logits.shape[0]
     dlogits = _softmax(npcs_logits)
     true_bins = (np.arange(n_all)[:, None], np.arange(3)[None, :], gt_bins)

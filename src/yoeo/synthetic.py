@@ -327,7 +327,8 @@ def _partial_view_mask(points_cam: np.ndarray) -> np.ndarray:
 
     n_azimuth, n_elevation = VIEW_GRID
     cell = bins(azimuth, n_azimuth) * n_elevation + bins(elevation, n_elevation)
-    order = np.lexsort((np.arange(len(cell)), dist, cell))
+    # lexsort is stable, so (cell, dist) ties keep index order.
+    order = np.lexsort((dist, cell))
     sorted_cells = cell[order]
     first = np.ones(len(cell), dtype=bool)
     first[1:] = sorted_cells[1:] != sorted_cells[:-1]

@@ -15,12 +15,13 @@ import timeit
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
+from families import C8_FAMILY
 from yoeo.cli import main as cli_main, scene_to_sample
 from yoeo.geometry import (
     RansacParams,
     Sim3Transform,
-    random_rotation,
     ransac_align,
     rotation_geodesic_deg,
     umeyama_align,
@@ -38,11 +39,11 @@ from yoeo.network import (
     OracleNoise,
     TrainConfig,
     TrainSample,
+    _center_grad,
+    _npcs_grad,
+    _semantic_grad,
     forward,
     init_params,
-    loss_center,
-    loss_npcs,
-    loss_semantic,
     oracle_predict,
     scene_gradients,
     train,
@@ -58,7 +59,9 @@ def announce(criterion, detail=""):
 
 def random_sim3(rng):
     return Sim3Transform(
-        float(rng.uniform(0.5, 2.0)), random_rotation(rng), rng.uniform(-1, 1, 3)
+        float(rng.uniform(0.5, 2.0)),
+        Rotation.random(random_state=rng).as_matrix(),
+        rng.uniform(-1, 1, 3),
     )
 
 
@@ -126,7 +129,8 @@ def test_c03_npcs_quantization_bound():
     for fixture in range(12):
         extents = rng.uniform(0.05, 0.4, size=3)
         local = rng.uniform(-0.5, 0.5, size=(200, 3)) * extents
-        pose = Sim3Transform(1.0, random_rotation(rng), rng.uniform(-1, 1, 3))
+        rotation = Rotation.random(random_state=rng).as_matrix()
+        pose = Sim3Transform(1.0, rotation, rng.uniform(-1, 1, 3))
         metric = pose.apply(local)
         npcs = canonicalize_part(metric, pose, extents)
         gt_translation = pose.translation - np.linalg.norm(extents) * (
@@ -212,7 +216,7 @@ def test_c05_loss_and_gradient_fidelity():
         probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         labels = rng.integers(0, 4, size=n)
         assert abs(
-            loss_semantic(probs, labels)
+            _semantic_grad(probs, labels)[0]
             - brute_force_focal(probs, labels, FOCAL_ALPHA, FOCAL_GAMMA)
         ) < 1e-9
 
@@ -221,13 +225,13 @@ def test_c05_loss_and_gradient_fidelity():
         mask = rng.uniform(size=n) < 0.7
         mask[0] = True
         assert abs(
-            loss_center(offsets, gt, mask) - brute_force_center(offsets, gt, mask)
+            _center_grad(offsets, gt, mask)[0] - brute_force_center(offsets, gt, mask)
         ) < 1e-9
 
         npcs_logits = rng.normal(size=(n, 3, 100))
         gt_bins = rng.integers(0, 100, size=(n, 3))
         assert abs(
-            loss_npcs(npcs_logits, gt_bins, mask)
+            _npcs_grad(npcs_logits, gt_bins, mask)[0]
             - brute_force_npcs(npcs_logits, gt_bins, mask)
         ) < 1e-9
 
@@ -382,14 +386,9 @@ def test_c07_end_to_end_oracle(standard_suite):
 
 
 def test_c08_throughput():
-    cfg_base = GenConfig(
-        points_per_scene=4096,
-        drawer_count=(2, 2), lid_count=(1, 1), handle_count=(1, 1),
-        body_extents_range=(0.45, 0.6),
-    )
     prepared = []
     for seed in range(20):
-        cfg = dataclasses.replace(cfg_base, rng_seed=seed)
+        cfg = GenConfig(rng_seed=seed, **C8_FAMILY)
         scene = render_scene(generate_object(seed, cfg), cfg)
         assert len(scene.instances) <= 4
         prepared.append((scene.points, oracle_predict(scene, OracleNoise())))
@@ -428,7 +427,7 @@ def test_c09_metric_self_consistency(standard_suite):
         iou = box_iou3d(np.zeros(3), rot, size, center_b, rot, size)
         assert abs(iou - analytic) <= 1e-9
     # Fifth fixture: the half-offset pair under a shared rotation.
-    r = random_rotation(np.random.default_rng(5))
+    r = Rotation.random(random_state=np.random.default_rng(5)).as_matrix()
     iou = box_iou3d(np.zeros(3), r, size, r @ np.array([0.5, 0, 0]), r, size)
     assert abs(iou - 1.0 / 3.0) <= 1e-9
 

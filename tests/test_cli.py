@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +181,15 @@ class TestGenerate:
         assert code != 0
         err = capsys.readouterr().err
         assert "line" in err and "column" in err
+
+    def test_non_utf8_config_file_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff\xfe{}")
+        out = tmp_path / "x"
+        code = run("generate", "--config", cfg, "--seed", 1, "--out", out)
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"YOEO-E2: config file {cfg}: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "key, value",
@@ -946,6 +956,52 @@ def test_range_error_names_the_flag(tmp_path, capsys, roundtrip_inputs, argv, me
     out = tmp_path / "out"
     assert run(*argv, "--out", out) == 1
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def three_scenes(tmp_path_factory):
+    root = tmp_path_factory.mktemp("three")
+    data = generate(root, count=3, points=512)
+    preds = root / "preds"
+    assert run("infer", "--data", data, "--oracle", "--out", preds) == 0
+    return data, preds
+
+
+def label_seven(raw: bytes) -> bytes:
+    scene = json.loads(raw)
+    scene["gt_semantic"][0] = 7
+    return json.dumps(scene).encode()
+
+
+SCENE_BREAKS = {
+    "label-7": label_seven,
+    "invalid-json": lambda raw: b"{not json",
+    "not-utf8": lambda raw: b"\xff\xfe",
+}
+SCENE_COMMANDS = {
+    "train": ["train", "--seed", 1],
+    "infer-jobs-1": ["infer", "--oracle", "--jobs", 1],
+    "infer-jobs-2": ["infer", "--oracle", "--jobs", 2],
+    "eval": ["eval", "--preds", "{preds}"],
+}
+
+
+@pytest.mark.parametrize("breakage", list(SCENE_BREAKS))
+@pytest.mark.parametrize("command", list(SCENE_COMMANDS))
+def test_broken_scene_file_named_before_output(
+    tmp_path, capsys, three_scenes, command, breakage
+):
+    # Whatever breaks the middle scene file, every command that reads scenes
+    # stops with one typed error that names the file, and writes nothing.
+    clean, preds = three_scenes
+    data = shutil.copytree(clean, tmp_path / "data")
+    bad = data / "scene_00001.json"
+    bad.write_bytes(SCENE_BREAKS[breakage](bad.read_bytes()))
+    argv = [str(a).format(preds=preds) for a in SCENE_COMMANDS[command]]
+    out = tmp_path / "out"
+    assert run(*argv, "--data", data, "--out", out) == 1
+    assert capsys.readouterr().err.startswith(f"YOEO-E19: scene file {bad}: ")
     assert not out.exists()
 
 

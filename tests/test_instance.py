@@ -6,6 +6,7 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
+from families import C8_FAMILY
 import yoeo.instance
 from yoeo.instance import (
     ClusterParams,
@@ -246,11 +247,7 @@ def sparse_graph_labels(votes, bandwidth):
 
 
 def c8_scene(seed):
-    cfg = GenConfig(
-        rng_seed=seed, points_per_scene=4096,
-        drawer_count=(2, 2), lid_count=(1, 1), handle_count=(1, 1),
-        body_extents_range=(0.45, 0.6),
-    )
+    cfg = GenConfig(rng_seed=seed, **C8_FAMILY)
     return render_scene(generate_object(seed, cfg), cfg)
 
 

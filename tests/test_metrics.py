@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.spatial.transform import Rotation
 
-from yoeo.geometry import Sim3Transform, random_rotation, rotation_about_axis
+from yoeo.geometry import Sim3Transform, rotation_about_axis
 from yoeo.metrics import (
     PoseErrors,
     UNMATCHED,
@@ -130,7 +131,7 @@ class TestBoxIou:
         rng = np.random.default_rng(70)
         size = np.ones(3)
         for _ in range(3):
-            r = random_rotation(rng)
+            r = Rotation.random(random_state=rng).as_matrix()
             iou = box_iou3d(
                 r @ np.zeros(3), r, size, r @ np.array([0.5, 0, 0]), r, size
             )
@@ -163,7 +164,7 @@ class TestBoxIou:
 
     def test_nested_rotated_half_size_cube(self):
         # Its circumradius, sqrt(3)/4, is below 0.5, so it lies inside.
-        r = random_rotation(np.random.default_rng(71))
+        r = Rotation.random(random_state=np.random.default_rng(71)).as_matrix()
         iou = box_iou3d(
             np.zeros(3), np.eye(3), np.ones(3), np.array([0.02, -0.03, 0.01]), r,
             np.full(3, 0.5),
@@ -171,7 +172,7 @@ class TestBoxIou:
         assert iou == pytest.approx(0.125, abs=1e-9)
 
     def test_face_touching_cubes_zero(self):
-        r = random_rotation(np.random.default_rng(72))
+        r = Rotation.random(random_state=np.random.default_rng(72)).as_matrix()
         size = np.ones(3)
         iou = box_iou3d(np.zeros(3), r, size, r @ np.array([1.0, 0, 0]), r, size)
         assert iou == pytest.approx(0.0, abs=1e-9)
@@ -179,8 +180,10 @@ class TestBoxIou:
     def test_symmetric_in_its_arguments(self):
         rng = np.random.default_rng(73)
         for _ in range(20):
-            a = (rng.uniform(-0.2, 0.2, 3), random_rotation(rng), rng.uniform(0.2, 1, 3))
-            b = (rng.uniform(-0.2, 0.2, 3), random_rotation(rng), rng.uniform(0.2, 1, 3))
+            a = (rng.uniform(-0.2, 0.2, 3), Rotation.random(random_state=rng).as_matrix(),
+                 rng.uniform(0.2, 1, 3))
+            b = (rng.uniform(-0.2, 0.2, 3), Rotation.random(random_state=rng).as_matrix(),
+                 rng.uniform(0.2, 1, 3))
             assert box_iou3d(*a, *b) == pytest.approx(box_iou3d(*b, *a), abs=1e-9)
 
     @pytest.mark.parametrize(

@@ -6,7 +6,8 @@ import types
 import numpy as np
 import pytest
 
-from yoeo.errors import NonFiniteLoss, TooFewPoints, WeightFormatError, ZeroMask
+from families import C8_FAMILY
+from yoeo.errors import NonFiniteLoss, TooFewPoints, WeightFormatError
 from yoeo.network import (
     WEIGHTS_MAGIC,
     WEIGHTS_VERSION,
@@ -16,14 +17,12 @@ from yoeo.network import (
     TrainConfig,
     TrainSample,
     _center_grad,
+    _npcs_grad,
     _part_targets,
     _semantic_grad,
     forward,
     init_params,
     load_weights,
-    loss_center,
-    loss_npcs,
-    loss_semantic,
     oracle_predict,
     point_features,
     save_weights,
@@ -178,11 +177,11 @@ class TestLossSemantic:
         probs = np.zeros((6, 4))
         labels = np.array([0, 1, 2, 3, 1, 2])
         probs[np.arange(6), labels] = 1.0
-        assert loss_semantic(probs, labels) <= 1e-9
+        assert _semantic_grad(probs, labels)[0] <= 1e-9
 
     def test_hand_evaluated_half_confidence(self):
         probs = np.array([[0.5, 0.5, 0.0, 0.0]])
-        loss = loss_semantic(probs, np.array([0]))
+        loss = _semantic_grad(probs, np.array([0]))[0]
         assert loss == pytest.approx(0.25 * 0.25 * math.log(2.0), abs=1e-12)
 
     def test_matches_brute_force(self):
@@ -191,7 +190,7 @@ class TestLossSemantic:
         probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         labels = rng.integers(0, 4, size=25)
         expected = brute_force_focal(probs, labels, FOCAL_ALPHA, FOCAL_GAMMA)
-        assert loss_semantic(probs, labels) == pytest.approx(expected, abs=1e-9)
+        assert _semantic_grad(probs, labels)[0] == pytest.approx(expected, abs=1e-9)
 
 
 class TestLossCenter:
@@ -199,12 +198,12 @@ class TestLossCenter:
         rng = np.random.default_rng(7)
         gt = rng.normal(size=(10, 3))
         mask = np.ones(10, dtype=bool)
-        assert loss_center(gt, gt, mask) == 0.0
+        assert _center_grad(gt, gt, mask)[0] == 0.0
 
     def test_three_four_five(self):
         pred = np.array([[0.003, 0.004, 0.0]])
         gt = np.zeros((1, 3))
-        assert loss_center(pred, gt, np.array([True])) == pytest.approx(0.005)
+        assert _center_grad(pred, gt, np.array([True]))[0] == pytest.approx(0.005)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(8)
@@ -213,11 +212,7 @@ class TestLossCenter:
         mask = rng.uniform(size=40) < 0.6
         mask[0] = True
         expected = brute_force_center(pred, gt, mask)
-        assert loss_center(pred, gt, mask) == pytest.approx(expected, abs=1e-12)
-
-    def test_zero_mask_raises(self):
-        with pytest.raises(ZeroMask):
-            loss_center(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros(3, dtype=bool))
+        assert _center_grad(pred, gt, mask)[0] == pytest.approx(expected, abs=1e-12)
 
 
 class TestLossNpcs:
@@ -228,13 +223,13 @@ class TestLossNpcs:
         for axis in range(3):
             logits[np.arange(12), axis, bins[:, axis]] = 60.0
         mask = np.ones(12, dtype=bool)
-        assert loss_npcs(logits, bins, mask) <= 1e-9
+        assert _npcs_grad(logits, bins, mask)[0] <= 1e-9
 
     def test_uniform_logits_log_bins(self):
         logits = np.zeros((5, 3, 100))
         bins = np.zeros((5, 3), dtype=int)
         mask = np.ones(5, dtype=bool)
-        assert loss_npcs(logits, bins, mask) == pytest.approx(math.log(100), abs=1e-9)
+        assert _npcs_grad(logits, bins, mask)[0] == pytest.approx(math.log(100), abs=1e-9)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(10)
@@ -243,12 +238,7 @@ class TestLossNpcs:
         mask = rng.uniform(size=15) < 0.7
         mask[0] = True
         expected = brute_force_npcs(logits, bins, mask)
-        assert loss_npcs(logits, bins, mask) == pytest.approx(expected, abs=1e-9)
-
-    def test_zero_mask_raises(self):
-        with pytest.raises(ZeroMask):
-            loss_npcs(np.zeros((2, 3, 100)), np.zeros((2, 3), int),
-                      np.zeros(2, dtype=bool))
+        assert _npcs_grad(logits, bins, mask)[0] == pytest.approx(expected, abs=1e-9)
 
 
 class TestGradients:
@@ -348,15 +338,13 @@ class TestInPlaceEpilogues:
     """The in-place bias, tanh and softmax steps give the plain
     expressions' bits and write into nothing the caller owns."""
 
-    C8 = GenConfig(points_per_scene=4096, drawer_count=(2, 2), lid_count=(1, 1),
-                   handle_count=(1, 1), body_extents_range=(0.45, 0.6))
     CFG = TrainConfig(w_sem=0.7, w_center=1.3, w_npcs=0.9)
 
     @pytest.fixture(scope="class")
     def scenes(self):
         out = []
         for seed in (3, 4, 5):
-            cfg = dataclasses.replace(self.C8, rng_seed=seed)
+            cfg = GenConfig(rng_seed=seed, **C8_FAMILY)
             out.append(render_scene(generate_object(seed, cfg), cfg))
         return out
 
@@ -411,9 +399,9 @@ class TestInPlaceEpilogues:
         for s in (sample, self.background(sample)):
             scene_gradients(params, s, self.CFG, features)
         scene_gradients(params, sample, self.CFG)
-        loss_semantic(pred.semantic_probs, sample.labels)
-        loss_center(pred.offsets, sample.offsets, sample.part_mask)
-        loss_npcs(pred.npcs_logits, sample.bins, sample.part_mask)
+        _semantic_grad(pred.semantic_probs, sample.labels)
+        _center_grad(pred.offsets, sample.offsets, sample.part_mask)
+        _npcs_grad(pred.npcs_logits, sample.bins, sample.part_mask)
 
         for name in LAYER_NAMES:
             assert np.array_equal(getattr(params, name), getattr(before, name)), name

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.spatial.transform import Rotation
 
 from yoeo.errors import DegenerateExtents
 from yoeo.geometry import (
     RansacParams,
     Sim3Transform,
-    random_rotation,
     rotation_about_axis,
 )
 from yoeo.npcs import (
@@ -17,6 +17,8 @@ from yoeo.npcs import (
     recover_pose,
     transform_axis,
 )
+
+IDENTITY = Sim3Transform(1.0, np.eye(3), np.zeros(3))
 
 
 class TestBins:
@@ -65,7 +67,7 @@ class TestCanonicalize:
     def test_box_corners_symmetric_with_unit_diagonal(self):
         extents = np.array([0.2, 0.1, 0.05])
         corners = box_corners(extents)
-        coords = canonicalize_part(corners, Sim3Transform.identity(), extents)
+        coords = canonicalize_part(corners, IDENTITY, extents)
         assert np.allclose(coords.mean(axis=0), 0.5)
         assert np.allclose(coords + coords[::-1], 1.0)  # symmetric about center
         diag = np.linalg.norm(coords.max(axis=0) - coords.min(axis=0))
@@ -74,7 +76,8 @@ class TestCanonicalize:
     def test_center_maps_to_center(self):
         extents = np.array([0.3, 0.2, 0.1])
         rng = np.random.default_rng(0)
-        pose = Sim3Transform(1.0, random_rotation(rng), rng.uniform(-1, 1, 3))
+        rotation = Rotation.random(random_state=rng).as_matrix()
+        pose = Sim3Transform(1.0, rotation, rng.uniform(-1, 1, 3))
         coords = canonicalize_part(pose.translation, pose, extents)
         assert np.allclose(coords, 0.5, atol=1e-12)
 
@@ -82,9 +85,10 @@ class TestCanonicalize:
         rng = np.random.default_rng(1)
         extents = np.array([0.25, 0.15, 0.1])
         local = rng.uniform(-0.5, 0.5, size=(40, 3)) * extents
-        base = canonicalize_part(local, Sim3Transform.identity(), extents)
+        base = canonicalize_part(local, IDENTITY, extents)
         for _ in range(5):
-            pose = Sim3Transform(1.0, random_rotation(rng), rng.uniform(-2, 2, 3))
+            rotation = Rotation.random(random_state=rng).as_matrix()
+            pose = Sim3Transform(1.0, rotation, rng.uniform(-2, 2, 3))
             posed = pose.apply(local)
             coords = canonicalize_part(posed, pose, extents)
             assert np.abs(coords - base).max() < 1e-12
@@ -93,12 +97,12 @@ class TestCanonicalize:
         rng = np.random.default_rng(2)
         extents = np.array([0.4, 0.3, 0.2])
         local = rng.uniform(-0.5, 0.5, size=(200, 3)) * extents
-        coords = canonicalize_part(local, Sim3Transform.identity(), extents)
+        coords = canonicalize_part(local, IDENTITY, extents)
         assert coords.min() >= 0.0 and coords.max() <= 1.0
 
     def test_degenerate_extents(self):
         with pytest.raises(DegenerateExtents):
-            canonicalize_part(np.zeros((4, 3)), Sim3Transform.identity(), [0.1, 0, 0.1])
+            canonicalize_part(np.zeros((4, 3)), IDENTITY, [0.1, 0, 0.1])
 
 
 class TestRecoverPose:
@@ -106,7 +110,8 @@ class TestRecoverPose:
         rng = np.random.default_rng(seed)
         extents = rng.uniform(0.05, 0.4, size=3)
         local = rng.uniform(-0.5, 0.5, size=(n, 3)) * extents
-        pose = Sim3Transform(1.0, random_rotation(rng), rng.uniform(-1, 1, 3))
+        rotation = Rotation.random(random_state=rng).as_matrix()
+        pose = Sim3Transform(1.0, rotation, rng.uniform(-1, 1, 3))
         metric = pose.apply(local)
         npcs = canonicalize_part(metric, pose, extents)
         # Ground-truth canonical->camera transform implied by the convention.
@@ -191,7 +196,7 @@ class TestRecoverPose:
 class TestTransformAxis:
     def test_identity_leaves_axis_unchanged(self):
         axis = JointAxis(np.array([0.5, 0.5, 0.5]), np.array([1.0, 0, 0]), "prismatic")
-        out = transform_axis(axis, Sim3Transform.identity())
+        out = transform_axis(axis, IDENTITY)
         assert np.allclose(out.origin, axis.origin)
         assert np.allclose(out.direction, axis.direction)
         assert out.kind == "prismatic"
@@ -213,7 +218,8 @@ class TestTransformAxis:
         rng = np.random.default_rng(5)
         a = JointAxis(np.zeros(3), rng.normal(size=3), "revolute")
         b = JointAxis(np.zeros(3), rng.normal(size=3), "revolute")
-        t = Sim3Transform(3.0, random_rotation(rng), rng.uniform(-1, 1, 3))
+        rotation = Rotation.random(random_state=rng).as_matrix()
+        t = Sim3Transform(3.0, rotation, rng.uniform(-1, 1, 3))
         ta, tb = transform_axis(a, t), transform_axis(b, t)
         assert np.linalg.norm(ta.direction) == pytest.approx(1.0, abs=1e-12)
         before = np.dot(a.direction, b.direction)

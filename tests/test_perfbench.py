@@ -5,6 +5,7 @@ and its self-check, on a copy of `src/` and `perfbench/`, so a rename or
 deletion in `src/` that the benchmark depends on fails here and nothing
 is written under the repository."""
 
+import ast
 import json
 import os
 import re
@@ -14,6 +15,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from families import C8_FAMILY
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -67,3 +69,14 @@ def test_selfcheck_catches_every_corruption(checkout):
     last = run_script(checkout, "perfbench/selfcheck.py")
     found = re.fullmatch(r"(\d+)/(\d+) checks behave", last)
     assert found and found.group(1) == found.group(2), last
+
+
+def test_c8_family_matches_the_benchmark_copy():
+    # perfbench/workloads.py writes C8_FAMILY as dict(key=literal, ...).
+    tree = ast.parse((REPO / "perfbench/workloads.py").read_text())
+    family = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(target, "id", None) for target in node.targets] == ["C8_FAMILY"]
+    )
+    assert {kw.arg: ast.literal_eval(kw.value) for kw in family.keywords} == C8_FAMILY

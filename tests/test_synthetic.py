@@ -8,6 +8,7 @@ import struct
 import numpy as np
 import pytest
 
+from families import C8_FAMILY
 from yoeo.errors import DegenerateSpec, SceneFormatError
 from yoeo.geometry import RansacParams, Sim3Transform, rotation_geodesic_deg
 from yoeo.npcs import recover_pose, transform_axis
@@ -28,10 +29,6 @@ from yoeo.synthetic import (
     scene_from_dict,
     scene_to_dict,
 )
-
-C8_FAMILY = dict(points_per_scene=4096, drawer_count=(2, 2), lid_count=(1, 1),
-                 handle_count=(1, 1), body_extents_range=(0.45, 0.6))
-
 
 def spec_fingerprint(spec):
     rows = [tuple(spec.body_extents)]
@@ -99,8 +96,7 @@ class TestGenerateObject:
             extents=np.array([0.1, 0.1, 0.1]),
             joint=canonical_joint_axis(1, np.full(3, 0.5)),
             articulation_value=0.9,  # beyond the drawer limit
-            attach_pose=__import__("yoeo.geometry", fromlist=["Sim3Transform"])
-            .Sim3Transform.identity(),
+            attach_pose=Sim3Transform(1.0, np.eye(3), np.zeros(3)),
         )
         with pytest.raises(DegenerateSpec):
             ArticulatedObjectSpec(body, (part,)).validate()
@@ -400,7 +396,7 @@ class TestSceneIO:
             gt_npcs=np.array([[math.nan] * 3 if r is None else r for r in npcs],
                              dtype=np.float64).reshape(n, 3),
             instances=(),
-            camera_pose=Sim3Transform.identity(),
+            camera_pose=Sim3Transform(1.0, np.eye(3), np.zeros(3)),
         )
         data = json.loads(json.dumps(scene_to_dict(scene)))
         loaded = scene_from_dict(data)
@@ -420,7 +416,7 @@ class TestSceneIO:
             gt_instance=np.full(2, -1, dtype=np.int64),
             gt_npcs=np.full((2, 3), math.nan),
             instances=(),
-            camera_pose=Sim3Transform.identity(),
+            camera_pose=Sim3Transform(1.0, np.eye(3), np.zeros(3)),
         )
         path = tmp_path / "scene.json"
         save_scene(scene, path)
@@ -438,7 +434,7 @@ class TestSceneIO:
             gt_instance=np.full(2, -1, dtype=np.int64),
             gt_npcs=np.array([[0.1, math.nan, 0.3], [0.4, 0.5, 0.6]]),
             instances=(),
-            camera_pose=Sim3Transform.identity(),
+            camera_pose=Sim3Transform(1.0, np.eye(3), np.zeros(3)),
         )
         data = scene_to_dict(scene)
         assert data["gt_npcs"] == pack_rows([None, [0.4, 0.5, 0.6]])
