@@ -393,7 +393,7 @@ def prediction_from_dict(data, n_points: int) -> InstancePrediction:
     )
     inliers = _as_array(_get(data, "inliers", "instance"), np.int64, "inliers")
     if point_indices.ndim != 1 or inliers.ndim != 0:
-        raise SceneFormatError("point_indices must be a list and inliers a number")
+        raise SceneFormatError("point_indices must be a list and inliers one integer")
     if ((point_indices < 0) | (point_indices >= n_points)).any():
         raise SceneFormatError(f"point_indices must lie in [0, {n_points})")
     return InstancePrediction(

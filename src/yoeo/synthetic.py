@@ -10,10 +10,10 @@ transform, metric size, and camera-frame joint axis.
 
 from __future__ import annotations
 
-import base64
 import dataclasses
 import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .parts import (
     joint_axis_in_part_frame,
 )
 
-SCENE_SCHEMA_VERSION = 2
+SCENE_SCHEMA_VERSION = 3
 # Largest point coordinate magnitude a scene file may hold, in meters.
 # Far past any real scene, and far below where squared neighbour
 # distances overflow (about 1e154) in the k-NN and clustering trees.
@@ -490,10 +490,22 @@ def _get(data, key: str, what: str):
     return data[key]
 
 
+# The Python types `json.load` gives what JSON calls an integer and a number.
+_JSON_TYPES = {np.int64: ({int}, "integer"), np.float64: ({int, float}, "number")}
+
+
 def _as_array(values, dtype, what: str) -> np.ndarray:
+    """`values`, one JSON integer (dtype np.int64) or number (np.float64)
+    or a flat list of them, as an array of `dtype`; SceneFormatError for
+    any other value, a bool or a nested list included."""
+    types, kind = _JSON_TYPES[dtype]
+    items = values if type(values) is list else [values]
+    if not set(map(type, items)) <= types:
+        bad = next(item for item in items if type(item) not in types)
+        raise SceneFormatError(f"{what} holds {json.dumps(bad)}, not a JSON {kind}")
     try:
         return np.array(values, dtype=dtype)
-    except (TypeError, ValueError) as exc:
+    except OverflowError as exc:
         raise SceneFormatError(f"{what}: {exc}") from exc
 
 
@@ -518,16 +530,18 @@ def _transform_from_dict(data, scale, what: str) -> Sim3Transform:
 def record_from_dict(data) -> InstanceRecord:
     """Inverse of `record_to_dict`; raises SceneFormatError for a missing
     field, a class that is not an integer part class in [1, NUM_CLASSES),
-    a vector of the wrong length, an unknown axis kind, or values that do
-    not make a similarity transform and a joint axis."""
+    a scale that is not one number, a vector of the wrong length, an
+    unknown axis kind, or values that do not make a similarity transform
+    and a joint axis."""
     pose = _get(data, "pose", "instance")
     axis = _get(data, "axis", "instance")
     origin = _numbers(_get(axis, "origin", "instance axis"), 3, "axis origin")
     direction = _numbers(_get(axis, "dir", "instance axis"), 3, "axis dir")
     size = _numbers(_get(data, "size", "instance"), 3, "instance size")
-    transform = _transform_from_dict(
-        pose, _get(pose, "s", "instance pose"), "instance pose"
-    )
+    scale = _as_array(_get(pose, "s", "instance pose"), np.float64, "instance pose s")
+    if scale.ndim:
+        raise SceneFormatError("instance pose s must be one number")
+    transform = _transform_from_dict(pose, float(scale), "instance pose")
     semantic_class = _get(data, "class", "instance")
     if type(semantic_class) is not int or not 0 < semantic_class < NUM_CLASSES:
         raise SceneFormatError(
@@ -543,87 +557,106 @@ def record_from_dict(data) -> InstanceRecord:
         raise SceneFormatError(f"instance: {exc}") from exc
 
 
-def _encode_rows(rows: np.ndarray) -> str:
-    """(n, 3) rows as base64 of their little-endian float64 bytes."""
-    return base64.b64encode(np.asarray(rows, dtype="<f8").tobytes()).decode("ascii")
-
-
-def _decode_rows(text, what: str) -> np.ndarray:
-    """Inverse of `_encode_rows`; an empty string gives (0, 3)."""
-    if not isinstance(text, str):
-        raise SceneFormatError(
-            f"{what} must be a base64 string, got {type(text).__name__}"
-        )
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError as exc:  # binascii.Error, or non-ASCII text
-        raise SceneFormatError(f"{what} is not valid base64: {exc}") from exc
-    if len(raw) % 24:
-        raise SceneFormatError(
-            f"{what} holds {len(raw)} bytes, not rows of 3 float64 (24 bytes)"
-        )
-    return np.frombuffer(raw, dtype="<f8").reshape(-1, 3).astype(np.float64)
-
-
-def scene_to_dict(scene: Scene) -> dict:
-    npcs = np.array(scene.gt_npcs, dtype=np.float64)
+def save_scene(scene: Scene, path) -> None:
+    """Write `scene` as `path` (JSON: version, labels, instance records and
+    camera pose) and, first, its `.npy` beside it: one C-order (2, n, 3)
+    little-endian float64 array, [points, gt_npcs]."""
+    arrays = np.empty((2, len(scene.points), 3), dtype="<f8")
+    arrays[0] = scene.points
+    arrays[1] = scene.gt_npcs
     # Any NaN marks a background row; the reader takes only whole-NaN rows.
-    npcs[np.isnan(npcs).any(axis=1)] = np.nan
-    return {
+    arrays[1][np.isnan(arrays[1]).any(axis=1)] = np.nan
+    np.save(Path(path).with_suffix(".npy"), arrays)
+    data = {
         "version": SCENE_SCHEMA_VERSION,
-        "points": _encode_rows(scene.points),
         "gt_semantic": scene.gt_semantic.tolist(),
         "gt_instance": scene.gt_instance.tolist(),
-        "gt_npcs": _encode_rows(npcs),
         "instances": [record_to_dict(record) for record in scene.instances],
         "camera_pose": {
             "R": _vec(scene.camera_pose.rotation),
             "t": _vec(scene.camera_pose.translation),
         },
     }
+    # json.dumps encodes in C; json.dump would stream through the
+    # pure-Python encoder. Both write the same bytes.
+    with open(path, "w") as fh:
+        fh.write(json.dumps(data))
 
 
-def _labels(values, n: int, what: str) -> np.ndarray:
+def _labels(values, what: str) -> np.ndarray:
     array = _as_array(values, np.int64, what)
-    if array.shape != (n,):
-        raise SceneFormatError(f"{what} has shape {array.shape}, expected ({n},)")
+    if array.ndim != 1:
+        raise SceneFormatError(f"{what} must be a list of integers")
     return array
 
 
-def scene_from_dict(data) -> Scene:
-    """Inverse of `scene_to_dict`; raises SceneFormatError for anything
-    that is not a version-2 scene with arrays of agreeing shapes, finite
-    points, classes in [0, NUM_CLASSES), instance ids in
-    [-1, number of instance records), and each point's class equal to
-    its instance record's class (BACKGROUND_CLASS for instance -1)."""
-    version = _get(data, "version", "scene")
-    if version == 1:
+def _read_arrays(path: Path, n: int) -> np.ndarray:
+    """The (2, n, 3) '<f8' array of a scene's `.npy` file; SceneFormatError
+    for a file that is not one such array with nothing after it."""
+    try:
+        with open(path, "rb") as fh:
+            # np.load's own .npy reader, without np.load's turn to a zip
+            # archive or a pickle on another magic string.
+            arrays = np.lib.format.read_array(fh, allow_pickle=False)
+            trailing = len(fh.read())
+    except (OSError, ValueError) as exc:  # missing; bad header, short data, objects
+        raise SceneFormatError(f"{path.name}: {exc}") from exc
+    if arrays.dtype != np.dtype("<f8"):
         raise SceneFormatError(
-            "scene file version 1 is no longer read; regenerate it with "
+            f"{path.name} holds dtype {arrays.dtype.str!r}, not '<f8'"
+        )
+    if arrays.shape != (2, n, 3):
+        raise SceneFormatError(
+            f"{path.name} holds shape {arrays.shape}, not (2, {n}, 3)"
+        )
+    if trailing:
+        raise SceneFormatError(
+            f"{path.name} does not end with its array: {trailing} more bytes"
+        )
+    return arrays
+
+
+def load_scene(path) -> Scene:
+    """Read the scene file `path` and its `.npy` (see `save_scene`).
+
+    Raises SceneFormatError for a version other than SCENE_SCHEMA_VERSION,
+    a missing or malformed field, a `.npy` that is not one (2, n, 3) '<f8'
+    array with nothing after it, for n points, non-finite points, NPCS
+    rows other than three NaNs (background) or three finite numbers,
+    classes outside [0, NUM_CLASSES), instance ids outside [-1, number of
+    instance records), a point whose class is not its instance record's
+    class (BACKGROUND_CLASS for instance -1), and point coordinates
+    beyond MAX_COORDINATE_M, which no later stage can use.
+    """
+    with open(path) as fh:
+        data = json.load(fh)
+    version = _get(data, "version", "scene")
+    if type(version) is int and 1 <= version < SCENE_SCHEMA_VERSION:
+        raise SceneFormatError(
+            f"scene file version {version} is no longer read; regenerate it with "
             "`yoeo generate` and the seed and config in its manifest.json"
         )
     if version != SCENE_SCHEMA_VERSION:
         raise SceneFormatError(f"unsupported scene version {version!r}")
-    points = _decode_rows(_get(data, "points", "scene"), "points")
+    semantic = _labels(_get(data, "gt_semantic", "scene"), "gt_semantic")
+    n = len(semantic)
+    instance = _labels(_get(data, "gt_instance", "scene"), "gt_instance")
+    if len(instance) != n:
+        raise SceneFormatError(f"gt_instance has {len(instance)} labels, gt_semantic {n}")
+    instances = _get(data, "instances", "scene")
+    if not isinstance(instances, list):
+        raise SceneFormatError("scene instances must be a list")
+    points, npcs = _read_arrays(Path(path).with_suffix(".npy"), n)
     if not np.isfinite(points).all():
         raise SceneFormatError("points must be finite")
-    n = len(points)
-    npcs = _decode_rows(_get(data, "gt_npcs", "scene"), "gt_npcs")
-    if len(npcs) != n:
-        raise SceneFormatError(f"gt_npcs has {len(npcs)} rows, points {n}")
     if not (np.isnan(npcs).all(axis=1) | np.isfinite(npcs).all(axis=1)).all():
         raise SceneFormatError(
             "gt_npcs rows must be three NaNs (background) or three finite numbers"
         )
-    semantic = _labels(_get(data, "gt_semantic", "scene"), n, "gt_semantic")
     outside = (semantic < 0) | (semantic >= NUM_CLASSES)
     if outside.any():
         bad = semantic[outside][0]
         raise SceneFormatError(f"gt_semantic class {bad} is outside [0, {NUM_CLASSES})")
-    instances = _get(data, "instances", "scene")
-    if not isinstance(instances, list):
-        raise SceneFormatError("scene instances must be a list")
-    instance = _labels(_get(data, "gt_instance", "scene"), n, "gt_instance")
     outside = (instance < -1) | (instance >= len(instances))
     if outside.any():
         raise SceneFormatError(
@@ -640,6 +673,10 @@ def scene_from_dict(data) -> Scene:
             f"point {i} has gt_semantic {semantic[i]} but its gt_instance "
             f"{instance[i]} is class {owner_class[i]}"
         )
+    if (np.abs(points) > MAX_COORDINATE_M).any():
+        raise SceneFormatError(
+            f"point coordinates must lie within ±{MAX_COORDINATE_M:g} m"
+        )
     return Scene(
         points=points,
         gt_semantic=semantic,
@@ -650,26 +687,6 @@ def scene_from_dict(data) -> Scene:
             _get(data, "camera_pose", "scene"), 1.0, "camera_pose"
         ),
     )
-
-
-def save_scene(scene: Scene, path) -> None:
-    # json.dumps encodes in C; json.dump would stream through the
-    # pure-Python encoder. Both write the same bytes.
-    with open(path, "w") as fh:
-        fh.write(json.dumps(scene_to_dict(scene)))
-
-
-def load_scene(path) -> Scene:
-    """Read a scene file; raises SceneFormatError for what `scene_from_dict`
-    rejects and for point coordinates beyond MAX_COORDINATE_M, which the
-    codec keeps bit-exact but no later stage can use."""
-    with open(path) as fh:
-        scene = scene_from_dict(json.load(fh))
-    if (np.abs(scene.points) > MAX_COORDINATE_M).any():
-        raise SceneFormatError(
-            f"point coordinates must lie within ±{MAX_COORDINATE_M:g} m"
-        )
-    return scene
 
 
 def export_ply(scene: Scene, path) -> None:

@@ -462,8 +462,9 @@ def test_c10_determinism(tmp_path):
 
     (data_x, model_x, preds_x, eval_x) = outputs["x"]
     (data_y, model_y, preds_y, eval_y) = outputs["y"]
-    for name in ["manifest.json"] + [f"scene_{i:05d}.json" for i in range(3)]:
-        assert (data_x / name).read_bytes() == (data_y / name).read_bytes()
+    scene_files = [f"scene_{i:05d}{suffix}" for i in range(3) for suffix in (".json", ".npy")]
+    for name in ["manifest.json"] + scene_files:
+        assert (data_x / name).read_bytes() == (data_y / name).read_bytes(), name
     assert (model_x / "weights.bin").read_bytes() == (model_y / "weights.bin").read_bytes()
     assert (model_x / "loss_curve.csv").read_bytes() == (model_y / "loss_curve.csv").read_bytes()
     for f in sorted(preds_x.glob("pred_*.json")):

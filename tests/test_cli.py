@@ -36,19 +36,40 @@ from yoeo.network import (
     train,
 )
 from yoeo.pipeline import run_scene_pipeline
-from yoeo.synthetic import GenConfig, generate_object, load_scene, render_scene
+from yoeo.synthetic import (
+    SCENE_SCHEMA_VERSION,
+    GenConfig,
+    generate_object,
+    load_scene,
+    render_scene,
+)
 
 
 def run(*argv):
     return main([str(a) for a in argv])
 
 
-def encode_rows(rows):
-    return base64.b64encode(np.asarray(rows, dtype="<f8").tobytes()).decode("ascii")
+def npy_bytes(array, **save_options):
+    out = io.BytesIO()
+    np.save(out, array, **save_options)
+    return out.getvalue()
 
 
-def decode_rows(text):
-    return np.frombuffer(base64.b64decode(text), dtype="<f8").reshape(-1, 3).copy()
+def edit_arrays(scene_file, edit):
+    """Rewrite the `.npy` beside `scene_file` as `edit` of its (2, n, 3)
+    array, [points, gt_npcs]."""
+    npy = scene_file.with_suffix(".npy")
+    npy.write_bytes(npy_bytes(edit(np.load(npy))))
+
+
+def on_json(edit):
+    """A scene-file edit of the JSON alone."""
+    return lambda data, raw: (edit(data), raw)
+
+
+def on_npy(edit):
+    """A scene-file edit of the `.npy` bytes alone."""
+    return lambda data, raw: (data, edit(raw))
 
 
 def generate(tmp_path, name="data", seed=1, count=4, points=768, extra=()):
@@ -61,10 +82,7 @@ def generate(tmp_path, name="data", seed=1, count=4, points=768, extra=()):
 
 def scale_points(data, factor=1e200):
     """Multiply the points of a generated set's first scene by `factor`."""
-    scene_file = data / "scene_00000.json"
-    payload = json.loads(scene_file.read_text())
-    payload["points"] = encode_rows(decode_rows(payload["points"]) * factor)
-    scene_file.write_text(json.dumps(payload))
+    edit_arrays(data / "scene_00000.json", lambda a: np.stack([a[0] * factor, a[1]]))
     return data
 
 
@@ -89,7 +107,9 @@ class TestGenerate:
     def test_rerun_is_byte_identical(self, tmp_path):
         a = generate(tmp_path, name="a", seed=5, count=3)
         b = generate(tmp_path, name="b", seed=5, count=3)
-        for name in ["manifest.json"] + [f"scene_{i:05d}.json" for i in range(3)]:
+        names = ["manifest.json"] + [f"scene_{i:05d}{suffix}" for i in range(3)
+                                     for suffix in (".json", ".npy")]
+        for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_scene_file_fields(self, tmp_path):
@@ -98,8 +118,12 @@ class TestGenerate:
         for path in sorted(out.glob("scene_*.json")):
             data = json.loads(path.read_text())
             scene = load_scene(path)
-            assert data["version"] == 2
-            assert isinstance(data["points"], str) and isinstance(data["gt_npcs"], str)
+            assert data["version"] == 3
+            assert set(data) == {"version", "gt_semantic", "gt_instance", "instances",
+                                 "camera_pose"}
+            arrays = np.load(path.with_suffix(".npy"), allow_pickle=False)
+            assert arrays.dtype == np.dtype("<f8") and arrays.flags.c_contiguous
+            assert arrays.shape == (2, len(scene.points), 3)
             assert data["gt_semantic"] == scene.gt_semantic.tolist()
             assert data["gt_instance"] == scene.gt_instance.tolist()
             assert all(type(v) is int for v in data["gt_semantic"] + data["gt_instance"])
@@ -141,8 +165,8 @@ class TestGenerate:
         par = generate(tmp_path, name="par", seed=21, count=4, points=512,
                        extra=("--jobs", "2"))
         for i in range(4):
-            name = f"scene_{i:05d}.json"
-            assert (seq / name).read_bytes() == (par / name).read_bytes()
+            for name in (f"scene_{i:05d}.json", f"scene_{i:05d}.npy"):
+                assert (seq / name).read_bytes() == (par / name).read_bytes(), name
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -254,12 +278,12 @@ class TestTrain:
 
     def test_non_finite_data_aborts_with_error_code(self, tmp_path, capsys):
         data = generate(tmp_path, name="nandata", count=2, points=512)
-        scene_file = data / "scene_00000.json"
-        payload = json.loads(scene_file.read_text())
-        points = decode_rows(payload["points"])
-        points[0, 0] = float("nan")
-        payload["points"] = encode_rows(points)
-        scene_file.write_text(json.dumps(payload))
+
+        def nan_point(arrays):
+            arrays[0, 0, 0] = float("nan")
+            return arrays
+
+        edit_arrays(data / "scene_00000.json", nan_point)
         code = run("train", "--seed", 1, "--data", data, "--out", tmp_path / "m2",
                    "--epochs", 2, "--hidden1", 8, "--hidden2", 8, "--k", 4)
         assert code != 0
@@ -348,17 +372,22 @@ class TestInfer:
     @pytest.mark.parametrize(
         "key, reshape",
         [
-            ("points", lambda text: encode_rows(decode_rows(text))[:-4]),  # 3 bytes short
-            ("gt_npcs", lambda text: encode_rows(decode_rows(text)[:-1])),
+            # Points and NPCS live in the .npy: reshape its bytes.
+            ("points", lambda raw: raw[:-3]),  # 3 bytes short
+            ("gt_npcs", lambda raw: npy_bytes(np.load(io.BytesIO(raw))[:, :-1])),
             ("gt_semantic", lambda rows: rows + [0]),
         ],
     )
     def test_malformed_scene_file_error(self, tmp_path, capsys, key, reshape):
         data = generate(tmp_path, count=1)
         path = data / "scene_00000.json"
-        scene = json.loads(path.read_text())
-        scene[key] = reshape(scene[key])
-        path.write_text(json.dumps(scene))
+        if key in ("points", "gt_npcs"):
+            npy = path.with_suffix(".npy")
+            npy.write_bytes(reshape(npy.read_bytes()))
+        else:
+            scene = json.loads(path.read_text())
+            scene[key] = reshape(scene[key])
+            path.write_text(json.dumps(scene))
         code = run("infer", "--data", data, "--oracle", "--out", tmp_path / "p")
         assert code == 1
         assert "YOEO-E19" in capsys.readouterr().err
@@ -366,34 +395,42 @@ class TestInfer:
     @pytest.mark.parametrize(
         "edit",
         [
-            pytest.param(lambda d: [d], id="top-level-list"),
-            pytest.param(lambda d: {k: v for k, v in d.items() if k != "points"},
-                         id="missing-points"),
-            pytest.param(lambda d: {k: v for k, v in d.items() if k != "camera_pose"},
+            pytest.param(on_json(lambda d: [d]), id="top-level-list"),
+            # The .npy, which holds the points, is not there.
+            pytest.param(on_npy(lambda raw: None), id="missing-points"),
+            pytest.param(on_json(lambda d: {k: v for k, v in d.items() if k != "camera_pose"}),
                          id="missing-camera-pose"),
-            pytest.param(lambda d: {**d, "points": decode_rows(d["points"]).tolist()},
+            pytest.param(on_npy(lambda raw: npy_bytes(np.load(io.BytesIO(raw))[0])),
                          id="points-as-rows"),
-            pytest.param(lambda d: {**d, "points": "*" + d["points"][1:]},
-                         id="points-bad-base64"),
-            pytest.param(lambda d: {**d, "gt_npcs": encode_rows(decode_rows(d["gt_npcs"]))[:-4]},
-                         id="npcs-bytes-not-rows"),
-            pytest.param(lambda d: {**d, "gt_npcs": encode_rows(
-                np.where(np.arange(3) == 0, np.nan, decode_rows(d["gt_npcs"])))},
+            pytest.param(on_npy(lambda raw: b"*" + raw[1:]), id="points-bad-base64"),
+            pytest.param(on_npy(lambda raw: raw[:-4]), id="npcs-bytes-not-rows"),
+            pytest.param(on_npy(lambda raw: npy_bytes(np.where(
+                np.arange(3) == 0, np.nan, np.load(io.BytesIO(raw))))),
                          id="npcs-partly-nan-rows"),
-            pytest.param(lambda d: {**d, "instances": [{**d["instances"][0], "size": [0.1]}]},
-                         id="instance-size-1"),
-            pytest.param(lambda d: {**d, "instances": [
-                {**d["instances"][0], "pose": {**d["instances"][0]["pose"], "R": [1.0] * 8}}]},
+            pytest.param(on_npy(lambda raw: b""), id="npy-empty"),
+            pytest.param(on_npy(lambda raw: raw + b"\0"), id="npy-trailing-byte"),
+            pytest.param(on_npy(lambda raw: npy_bytes(np.load(io.BytesIO(raw)).astype(">f8"))),
+                         id="npy-big-endian"),
+            pytest.param(on_npy(lambda raw: npy_bytes(
+                np.nan_to_num(np.load(io.BytesIO(raw))).astype(np.int64))), id="npy-int64"),
+            pytest.param(on_npy(lambda raw: npy_bytes(
+                np.array([np.load(io.BytesIO(raw))[0], None], dtype=object), allow_pickle=True)),
+                         id="npy-pickled-objects"),
+            pytest.param(on_json(lambda d: {**d, "instances": [
+                {**d["instances"][0], "size": [0.1]}]}), id="instance-size-1"),
+            pytest.param(on_json(lambda d: {**d, "instances": [
+                {**d["instances"][0], "pose": {**d["instances"][0]["pose"], "R": [1.0] * 8}}]}),
                          id="instance-R-8"),
-            pytest.param(lambda d: {**d, "instances": [
-                {**d["instances"][0], "axis": {**d["instances"][0]["axis"], "kind": "screw"}}]},
+            pytest.param(on_json(lambda d: {**d, "instances": [
+                {**d["instances"][0], "axis": {**d["instances"][0]["axis"], "kind": "screw"}}]}),
                          id="instance-kind"),
-            pytest.param(lambda d: {**d, "camera_pose": {**d["camera_pose"], "t": [0.0]}},
+            pytest.param(on_json(lambda d: {**d, "camera_pose": {**d["camera_pose"],
+                                                                 "t": [0.0]}}),
                          id="camera-t-1"),
             # An extra record that no point belongs to, so only its class is wrong.
             *(
-                pytest.param(lambda d, c=cls: {**d, "instances": [
-                    *d["instances"], {**d["instances"][0], "class": c}]},
+                pytest.param(on_json(lambda d, c=cls: {**d, "instances": [
+                    *d["instances"], {**d["instances"][0], "class": c}]}),
                              id=f"instance-class-{cls}")
                 for cls in (99, 0, 1.5)
             ),
@@ -402,7 +439,13 @@ class TestInfer:
     def test_malformed_scene_file_cases(self, tmp_path, capsys, edit):
         data = generate(tmp_path, count=1)
         path = data / "scene_00000.json"
-        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        npy = path.with_suffix(".npy")
+        scene, raw = edit(json.loads(path.read_text()), npy.read_bytes())
+        path.write_text(json.dumps(scene))
+        if raw is None:
+            npy.unlink()
+        else:
+            npy.write_bytes(raw)
         code = run("infer", "--data", data, "--oracle", "--out", tmp_path / "p")
         assert code == 1
         assert "YOEO-E19" in capsys.readouterr().err
@@ -441,22 +484,26 @@ class TestInfer:
         assert not out.exists()
 
     def test_version_1_scene_file_asks_to_regenerate(self, tmp_path, capsys):
+        # Versions 1 and 2 kept the arrays in the JSON, with no .npy beside it.
         data = generate(tmp_path, count=1)
         path = data / "scene_00000.json"
         scene = json.loads(path.read_text())
-        npcs = decode_rows(scene["gt_npcs"])
-        scene.update(
-            version=1,
-            points=decode_rows(scene["points"]).tolist(),
-            gt_npcs=[None if np.isnan(row).any() else row for row in npcs.tolist()],
-        )
-        path.write_text(json.dumps(scene))
-        for command in (["infer", "--oracle"], ["train", "--seed", 1]):
-            code = run(*command, "--data", data, "--out", tmp_path / "p")
-            assert code == 1
-            err = capsys.readouterr().err
-            assert err.startswith("YOEO-E19:")
-            assert "regenerate it with `yoeo generate`" in err
+        arrays = np.load(path.with_suffix(".npy"))
+        path.with_suffix(".npy").unlink()
+        npcs = [None if np.isnan(row).any() else row for row in arrays[1].tolist()]
+        v1 = {**scene, "version": 1, "points": arrays[0].tolist(), "gt_npcs": npcs}
+        v2 = {**scene, "version": 2,
+              **{key: base64.b64encode(rows.tobytes()).decode("ascii")
+                 for key, rows in (("points", arrays[0]), ("gt_npcs", arrays[1]))}}
+        for version, payload in ((1, v1), (2, v2)):
+            path.write_text(json.dumps(payload))
+            for command in (["infer", "--oracle"], ["train", "--seed", 1]):
+                code = run(*command, "--data", data, "--out", tmp_path / "p")
+                assert code == 1
+                err = capsys.readouterr().err
+                assert err.startswith("YOEO-E19:")
+                assert f"version {version} is no longer read" in err
+                assert "regenerate it with `yoeo generate`" in err
 
     @pytest.mark.parametrize("label", [7, 4, -1])
     def test_semantic_label_outside_classes_rejected(self, tmp_path, capsys, label):
@@ -851,6 +898,42 @@ class TestEval:
         assert err.startswith("YOEO-E2:")
         assert str(path) in err
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("point_indices",), [0.9, 1.0, 2]),
+            (("point_indices",), [0, True, 2]),
+            (("inliers",), 3.7),
+            (("inliers",), 3.0),
+            (("inliers",), True),
+            (("pose", "s"), True),
+            (("pose", "R", 4), True),
+            (("pose", "t", 0), False),
+            (("size", 2), True),
+            (("axis", "dir", 0), True),
+        ],
+    )
+    def test_prediction_value_not_a_json_integer_or_number_rejected(
+        self, tmp_path, capsys, path, value
+    ):
+        # README: point_indices is a list of integers, inliers one integer,
+        # and pose, size and axis hold numbers; none casts from another type.
+        data = generate(tmp_path, count=1)
+        preds = tmp_path / "preds"
+        assert run("infer", "--data", data, "--oracle", "--out", preds) == 0
+        pred_file = preds / "pred_00000.json"
+        payload = json.loads(pred_file.read_text())
+        parent = payload["instances"][0]
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        pred_file.write_text(json.dumps(payload))
+        code = run("eval", "--data", data, "--preds", preds, "--out", tmp_path / "e")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"YOEO-E2: prediction file {pred_file}: ")
+        assert re.search("not a JSON (integer|number)", err)
+
     @pytest.mark.parametrize("index", [768, 10**6, -1, -5])
     def test_point_index_outside_scene_rejected(self, tmp_path, capsys, index):
         data = generate(tmp_path, count=1)
@@ -974,10 +1057,12 @@ def label_seven(raw: bytes) -> bytes:
     return json.dumps(scene).encode()
 
 
+# Breakage -> (the file it breaks, beside the scene's JSON; its new bytes).
 SCENE_BREAKS = {
-    "label-7": label_seven,
-    "invalid-json": lambda raw: b"{not json",
-    "not-utf8": lambda raw: b"\xff\xfe",
+    "label-7": (".json", label_seven),
+    "invalid-json": (".json", lambda raw: b"{not json"),
+    "not-utf8": (".json", lambda raw: b"\xff\xfe"),
+    "npy-empty": (".npy", lambda raw: b""),
 }
 SCENE_COMMANDS = {
     "train": ["train", "--seed", 1],
@@ -997,7 +1082,9 @@ def test_broken_scene_file_named_before_output(
     clean, preds = three_scenes
     data = shutil.copytree(clean, tmp_path / "data")
     bad = data / "scene_00001.json"
-    bad.write_bytes(SCENE_BREAKS[breakage](bad.read_bytes()))
+    suffix, breaking = SCENE_BREAKS[breakage]
+    broken = bad.with_suffix(suffix)
+    broken.write_bytes(breaking(broken.read_bytes()))
     argv = [str(a).format(preds=preds) for a in SCENE_COMMANDS[command]]
     out = tmp_path / "out"
     assert run(*argv, "--data", data, "--out", out) == 1
@@ -1065,6 +1152,12 @@ def test_readme_names_only_real_subcommands():
     named = {word for words in re.findall(r"\byoeo (\w+(?: / \w+)*)", readme)
              for word in words.split(" / ")}
     assert named and named <= set(subparsers.choices)
+
+
+def test_readme_file_formats_name_the_scene_version():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    formats = readme[readme.index("## File formats"):readme.index("## Conventions")]
+    assert f"**Scene JSON** (version {SCENE_SCHEMA_VERSION})" in formats
 
 
 @pytest.fixture(scope="module")

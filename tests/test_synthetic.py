@@ -1,5 +1,6 @@
 import base64
 import dataclasses
+import io
 import json
 import math
 import re
@@ -24,10 +25,9 @@ from yoeo.synthetic import (
     gt_offsets,
     load_scene,
     record_from_dict,
+    record_to_dict,
     render_scene,
     save_scene,
-    scene_from_dict,
-    scene_to_dict,
 )
 
 def spec_fingerprint(spec):
@@ -252,29 +252,44 @@ class TestGtOffsets:
             assert np.abs(offsets[mask].mean(axis=0)).max() < 1e-9
 
 
-def pack_rows(rows):
-    """base64 of the rows' numbers as little-endian float64, packed one
-    number at a time with `struct`; a None row is three NaNs."""
-    flat = []
-    for row in rows:
-        flat.extend([math.nan] * 3 if row is None else row if isinstance(row, list) else [row])
-    return base64.b64encode(struct.pack(f"<{len(flat)}d", *flat)).decode("ascii")
+def rows_array(rows):
+    """(n, 3) float64 rows; a None row is three NaNs (a background point)."""
+    return np.array(
+        [[math.nan] * 3 if row is None else row for row in rows], dtype=np.float64
+    ).reshape(-1, 3)
+
+
+def packed_rows(rows):
+    """The rows' numbers as little-endian float64, packed one number at a
+    time with `struct`; a None row is three NaNs."""
+    flat = [x for row in rows for x in ([math.nan] * 3 if row is None else row)]
+    return struct.pack(f"<{len(flat)}d", *flat)
+
+
+def npy_bytes(array, **save_options):
+    out = io.BytesIO()
+    np.save(out, array, **save_options)
+    return out.getvalue()
+
+
+def npz_bytes(array):
+    out = io.BytesIO()
+    np.savez(out, array)
+    return out.getvalue()
 
 
 def streamed_scene_bytes(scene, path):
-    """Scene file built row by row (points and NPCS packed with `struct`)
-    and streamed through the pure-Python encoder by `json.dump`."""
+    """Scene file bytes from the JSON fields streamed through the
+    pure-Python encoder by `json.dump`, and `.npy` bytes built by hand: the
+    format-1.0 header padded to 64 bytes, then points and NPCS packed
+    row by row with `struct`."""
     def vec(a):
         return np.asarray(a, dtype=np.float64).reshape(-1).tolist()
 
     data = {
-        "version": 2,
-        "points": pack_rows(scene.points.tolist()),
+        "version": 3,
         "gt_semantic": scene.gt_semantic.tolist(),
         "gt_instance": scene.gt_instance.tolist(),
-        "gt_npcs": pack_rows(
-            [None if np.isnan(row).any() else row.tolist() for row in scene.gt_npcs]
-        ),
         "instances": [
             {
                 "class": r.semantic_class,
@@ -291,32 +306,71 @@ def streamed_scene_bytes(scene, path):
     }
     with open(path, "w") as fh:
         json.dump(data, fh)
-    return path.read_bytes()
+    header = f"{{'descr': '<f8', 'fortran_order': False, 'shape': (2, {len(scene.points)}, 3), }}"
+    header = header.ljust(64 * -(-(len(header) + 11) // 64) - 11) + "\n"
+    npcs = [None if np.isnan(row).any() else row.tolist() for row in scene.gt_npcs]
+    npy = (b"\x93NUMPY\x01\x00" + struct.pack("<H", len(header)) + header.encode("ascii")
+           + packed_rows(scene.points.tolist()) + packed_rows(npcs))
+    return path.read_bytes(), npy
+
+
+TINY_POINTS = [[0.0, 0.0, 1.0], [0.1, 0.0, 1.0], [0.0, 0.1, 1.0]]
+TINY_NPCS = [None, [0.5, 0.25, 0.0], [0.25, 0.5, 1.0]]
+
+
+def tiny_arrays(points=TINY_POINTS, npcs=TINY_NPCS):
+    """The `.npy` array of `tiny_scene_dict`: [points, gt_npcs]."""
+    return np.stack([rows_array(points), rows_array(npcs)])
 
 
 def tiny_scene_dict():
-    """A valid 3-point scene dict: one background point, two part points
-    of instance 0."""
+    """The JSON of a valid 3-point scene: one background point, two part
+    points of instance 0. Its arrays are `tiny_arrays()`."""
     return {
-        "version": 2,
-        "points": pack_rows([[0.0, 0.0, 1.0], [0.1, 0.0, 1.0], [0.0, 0.1, 1.0]]),
+        "version": 3,
         "gt_semantic": [0, 1, 1],
         "gt_instance": [-1, 0, 0],
-        "gt_npcs": pack_rows([None, [0.5, 0.25, 0.0], [0.25, 0.5, 1.0]]),
         "instances": [tiny_record_dict()],
         "camera_pose": {"R": np.eye(3).reshape(-1).tolist(), "t": [0.0, 0.0, 0.0]},
     }
 
 
+def write_scene(tmp_path, data, npy):
+    """`scene.json` holding `data` and, beside it, `scene.npy` holding `npy`:
+    an array to `np.save`, raw bytes, or None for no `.npy` at all."""
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(data))
+    if npy is not None:
+        raw = npy if isinstance(npy, bytes) else npy_bytes(npy)
+        path.with_suffix(".npy").write_bytes(raw)
+    return path
+
+
+def load_tiny(tmp_path, data=None, npy=None):
+    """`load_scene` of the tiny scene, or of `data` and `npy` in its place."""
+    data = tiny_scene_dict() if data is None else data
+    return load_scene(write_scene(tmp_path, data, tiny_arrays() if npy is None else npy))
+
+
 def v1_scene_dict(scene):
     """The version-1 layout: decimal point rows and null background rows."""
-    data = scene_to_dict(scene)
-    data["version"] = 1
-    data["points"] = scene.points.tolist()
-    data["gt_npcs"] = [
-        None if np.isnan(row).any() else row.tolist() for row in scene.gt_npcs
-    ]
-    return data
+    return {
+        "version": 1,
+        "points": scene.points.tolist(),
+        "gt_semantic": scene.gt_semantic.tolist(),
+        "gt_instance": scene.gt_instance.tolist(),
+        "gt_npcs": [None if np.isnan(row).any() else row.tolist() for row in scene.gt_npcs],
+        "instances": [record_to_dict(record) for record in scene.instances],
+    }
+
+
+def v2_scene_dict(scene):
+    """The version-2 layout: points and NPCS as base64 strings in the JSON."""
+    def encoded(rows):
+        return base64.b64encode(rows.astype("<f8").tobytes()).decode("ascii")
+
+    return {**v1_scene_dict(scene), "version": 2,
+            "points": encoded(scene.points), "gt_npcs": encoded(scene.gt_npcs)}
 
 
 def tiny_record_dict():
@@ -331,6 +385,20 @@ def tiny_record_dict():
 
 def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def on_npy(edit):
+    """A `test_rejects_malformed_file` edit that leaves the JSON as it is."""
+    return lambda data, raw: (data, edit(raw))
+
+
+def on_json(edit):
+    """A `test_rejects_malformed_file` edit that leaves the `.npy` as it is."""
+    return lambda data, raw: (edit(data), raw)
+
+
+# Offset of the data in a `.npy` of `tiny_arrays()`, after its 128-byte header.
+NPY_DATA = 128
 
 
 class TestSceneIO:
@@ -367,49 +435,51 @@ class TestSceneIO:
     def test_file_bytes_match_streaming_writer(self, tmp_path, seed, config):
         # Same scene -> same bytes, and the bytes of a row-by-row writer.
         cfg = GenConfig(rng_seed=seed, **config)
-        paths = []
+        written = []
         for name in ("a.json", "b.json"):
-            paths.append(tmp_path / name)
-            save_scene(render_scene(generate_object(seed, cfg), cfg), paths[-1])
+            path = tmp_path / name
+            save_scene(render_scene(generate_object(seed, cfg), cfg), path)
+            written.append((path.read_bytes(), path.with_suffix(".npy").read_bytes()))
         scene = render_scene(generate_object(seed, cfg), cfg)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-        assert paths[0].read_bytes() == streamed_scene_bytes(scene, tmp_path / "ref.json")
+        assert written[0] == written[1]
+        assert written[0] == streamed_scene_bytes(scene, tmp_path / "ref.json")
 
     @pytest.mark.parametrize(
         "points, npcs",
         [
             ([[-0.0, 0.0, 5e-324]], [None]),  # -0.0, the smallest subnormal
             ([[2.2250738585072014e-308 / 3, -1e-310, 1.0]], [[-0.0, 5e-324, 1.0]]),
-            ([[0.1, 0.2, 0.3], [1e300, -1e-300, 1 / 3]], [None, None]),  # all background
+            ([[0.1, 0.2, 0.3], [1e6, -1e-300, 1 / 3]], [None, None]),  # all background
             ([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]], [[0.7, 0.8, 0.9], [0.0, -0.0, 1.0]]),
-            ([[1.7976931348623157e308, -1.7976931348623157e308, -5e-324]],
-             [[0.5, 0.5, 0.5]]),  # the largest finite doubles
+            # The largest finite doubles, as NPCS: points beyond ±1e6 m do not load.
+            ([[-1e6, 1e6, -5e-324]],
+             [[1.7976931348623157e308, -1.7976931348623157e308, -5e-324]]),
             ([], []),
         ],
     )
-    def test_arrays_round_trip_bit_exact(self, points, npcs):
+    def test_arrays_round_trip_bit_exact(self, tmp_path, points, npcs):
         n = len(points)
         scene = Scene(
-            points=np.array(points, dtype=np.float64).reshape(n, 3),
+            points=rows_array(points),
             gt_semantic=np.zeros(n, dtype=np.int64),
             gt_instance=np.full(n, -1, dtype=np.int64),
-            gt_npcs=np.array([[math.nan] * 3 if r is None else r for r in npcs],
-                             dtype=np.float64).reshape(n, 3),
+            gt_npcs=rows_array(npcs),
             instances=(),
             camera_pose=Sim3Transform(1.0, np.eye(3), np.zeros(3)),
         )
-        data = json.loads(json.dumps(scene_to_dict(scene)))
-        loaded = scene_from_dict(data)
+        path = tmp_path / "scene.json"
+        save_scene(scene, path)
+        loaded = load_scene(path)
         assert same_bits(loaded.points, scene.points)
         assert same_bits(loaded.gt_npcs, scene.gt_npcs)
         assert loaded.points.flags.writeable and loaded.gt_npcs.flags.writeable
-        assert data["points"] == pack_rows(points)
-        assert data["gt_npcs"] == pack_rows(npcs)
+        raw = path.with_suffix(".npy").read_bytes()
+        assert raw[NPY_DATA:] == packed_rows(points) + packed_rows(npcs)
 
     @pytest.mark.parametrize("coordinate, accepted", [(1e6, True), (-1e6, True),
                                                       (1.000001e6, False), (-1e200, False)])
     def test_load_bounds_point_coordinates(self, tmp_path, coordinate, accepted):
-        # The codec keeps any finite double; loading a file for use does not.
+        # The .npy keeps any finite double; loading a file for use does not.
         scene = Scene(
             points=np.array([[0.0, 0.0, 0.0], [0.1, coordinate, 0.2]]),
             gt_semantic=np.zeros(2, dtype=np.int64),
@@ -420,14 +490,14 @@ class TestSceneIO:
         )
         path = tmp_path / "scene.json"
         save_scene(scene, path)
-        assert same_bits(scene_from_dict(json.loads(path.read_text())).points, scene.points)
+        assert same_bits(np.load(path.with_suffix(".npy"))[0], scene.points)
         if accepted:
             assert same_bits(load_scene(path).points, scene.points)
         else:
             with pytest.raises(SceneFormatError, match="within ±1e\\+06 m"):
                 load_scene(path)
 
-    def test_partly_nan_npcs_row_written_as_background(self):
+    def test_partly_nan_npcs_row_written_as_background(self, tmp_path):
         scene = Scene(
             points=np.zeros((2, 3)),
             gt_semantic=np.zeros(2, dtype=np.int64),
@@ -436,54 +506,51 @@ class TestSceneIO:
             instances=(),
             camera_pose=Sim3Transform(1.0, np.eye(3), np.zeros(3)),
         )
-        data = scene_to_dict(scene)
-        assert data["gt_npcs"] == pack_rows([None, [0.4, 0.5, 0.6]])
-        assert np.isnan(scene_from_dict(data).gt_npcs[0]).all()
+        path = tmp_path / "scene.json"
+        save_scene(scene, path)
+        raw = path.with_suffix(".npy").read_bytes()
+        assert raw[NPY_DATA:] == packed_rows([[0.0] * 3] * 2 + [None, [0.4, 0.5, 0.6]])
+        assert np.isnan(load_scene(path).gt_npcs[0]).all()
 
-    def test_all_background_npcs(self):
-        data = tiny_scene_dict()
-        data["gt_npcs"] = pack_rows([None, None, None])
-        scene = scene_from_dict(data)
+    def test_all_background_npcs(self, tmp_path):
+        scene = load_tiny(tmp_path, npy=tiny_arrays(npcs=[None, None, None]))
         assert scene.gt_npcs.shape == (3, 3)
         assert np.isnan(scene.gt_npcs).all()
 
-    def test_npcs_without_background(self):
+    def test_npcs_without_background(self, tmp_path):
         rows = [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]]
-        data = tiny_scene_dict()
-        data["gt_npcs"] = pack_rows(rows)
-        scene = scene_from_dict(data)
+        scene = load_tiny(tmp_path, npy=tiny_arrays(npcs=rows))
         assert scene.gt_npcs.tolist() == rows
 
     @pytest.mark.parametrize("label", [-1, 4, 7])
-    def test_semantic_label_outside_classes_rejected(self, label):
+    def test_semantic_label_outside_classes_rejected(self, tmp_path, label):
         data = tiny_scene_dict()
         data["instances"] = [{**tiny_record_dict(), "class": c} for c in (3, 2)]
         data["gt_instance"] = [-1, 0, 1]
         data["gt_semantic"] = [0, 3, 2]
-        assert scene_from_dict(data).gt_semantic.tolist() == [0, 3, 2]
+        assert load_tiny(tmp_path, data).gt_semantic.tolist() == [0, 3, 2]
         data["gt_semantic"] = [0, 1, label]
         with pytest.raises(SceneFormatError, match=rf"class {label} is outside \[0, 4\)"):
-            scene_from_dict(data)
+            load_tiny(tmp_path, data)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_points_rejected(self, value):
-        data = tiny_scene_dict()
-        data["points"] = pack_rows([[0.0, 0.0, 1.0], [0.1, value, 1.0], [0.0, 0.1, 1.0]])
+    def test_non_finite_points_rejected(self, tmp_path, value):
+        points = [[0.0, 0.0, 1.0], [0.1, value, 1.0], [0.0, 0.1, 1.0]]
         with pytest.raises(SceneFormatError, match="points must be finite") as info:
-            scene_from_dict(data)
+            load_tiny(tmp_path, npy=tiny_arrays(points=points))
         assert info.value.code == 19
 
     @pytest.mark.parametrize("records, label", [(1, -2), (1, 1), (1, 99), (0, 0)])
-    def test_instance_id_outside_records_rejected(self, records, label):
+    def test_instance_id_outside_records_rejected(self, tmp_path, records, label):
         data = tiny_scene_dict()
         data["instances"] = data["instances"][:records]
         data["gt_instance"] = [-1, -1, -1]
         data["gt_semantic"] = [0, 0, 0]
-        assert scene_from_dict(data).gt_instance.tolist() == [-1, -1, -1]
+        assert load_tiny(tmp_path, data).gt_instance.tolist() == [-1, -1, -1]
         data["gt_instance"] = [-1, 0, label]
         with pytest.raises(SceneFormatError,
                            match=rf"gt_instance {label} is outside \[-1, {records}\)") as info:
-            scene_from_dict(data)
+            load_tiny(tmp_path, data)
         assert info.value.code == 19
 
     @pytest.mark.parametrize(
@@ -495,114 +562,165 @@ class TestSceneIO:
         ],
         ids=["background-labelled-drawer", "part-labelled-background", "part-other-class"],
     )
-    def test_label_disagreeing_with_instance_rejected(self, semantic, message):
+    def test_label_disagreeing_with_instance_rejected(self, tmp_path, semantic, message):
         # tiny_scene_dict's gt_instance is [-1, 0, 0] and record 0 is class 1.
         data = tiny_scene_dict()
         data["gt_semantic"] = semantic
         with pytest.raises(SceneFormatError, match=re.escape(message)) as info:
-            scene_from_dict(data)
+            load_tiny(tmp_path, data)
         assert info.value.code == 19
 
-    def test_zero_point_scene(self):
+    def test_zero_point_scene(self, tmp_path):
         data = tiny_scene_dict()
-        data.update(points="", gt_semantic=[], gt_instance=[], gt_npcs="")
-        scene = scene_from_dict(data)
+        data.update(gt_semantic=[], gt_instance=[])
+        scene = load_tiny(tmp_path, data, np.zeros((2, 0, 3)))
         assert scene.points.shape == (0, 3)
         assert scene.gt_npcs.shape == (0, 3)
         assert scene.gt_semantic.shape == (0,)
         assert scene.gt_instance.shape == (0,)
-        assert scene_to_dict(scene) == data
+        save_scene(scene, tmp_path / "again.json")
+        assert json.loads((tmp_path / "again.json").read_text()) == data
+        assert (tmp_path / "again.npy").read_bytes() == npy_bytes(np.zeros((2, 0, 3)))
 
-    def test_rejects_unknown_version(self):
+    def test_rejects_unknown_version(self, tmp_path):
         with pytest.raises(ValueError):
-            scene_from_dict({"version": 999})
+            load_tiny(tmp_path, {"version": 999})
 
-    def test_rejects_version_1_with_regenerate_hint(self):
+    def test_rejects_version_1_with_regenerate_hint(self, tmp_path):
+        # Versions 1 and 2 kept the arrays in the JSON; neither has a .npy.
         cfg = GenConfig(rng_seed=18, points_per_scene=512)
-        data = v1_scene_dict(render_scene(generate_object(61, cfg), cfg))
-        with pytest.raises(SceneFormatError) as info:
-            scene_from_dict(json.loads(json.dumps(data)))
-        assert info.value.code == 19
-        assert "version 1" in str(info.value)
-        assert "regenerate it with `yoeo generate`" in str(info.value)
+        scene = render_scene(generate_object(61, cfg), cfg)
+        for version, layout in ((1, v1_scene_dict), (2, v2_scene_dict)):
+            with pytest.raises(SceneFormatError) as info:
+                load_scene(write_scene(tmp_path, layout(scene), None))
+            assert info.value.code == 19
+            assert f"version {version}" in str(info.value)
+            assert "regenerate it with `yoeo generate`" in str(info.value)
 
     @pytest.mark.parametrize(
         "key, value",
         [
             ("version", "2"),  # a string is not the schema version
-            # Arrays are packed as flat float64 runs, so only the byte
-            # count carries rows: 24 numbers decode as 8 rows.
-            ("points", [[0.1, 0.2, 0.3, 0.4]] * 6),
-            ("points", [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]),
-            ("points", [[0.1, 0.2, 0.3], [0.4, 0.5], [0.6, 0.7, 0.8]]),
-            ("points", [[0.1, 0.2, 0.3]] * 4),
-            ("points", [0.1, 0.2, 0.3]),
+            # Array cases replace the whole .npy, which must be (2, 3, 3)
+            # for the 3 labels: points and NPCS, 3 rows of 3 each.
+            ("points", tiny_arrays(points=[[0.1, 0.2, 0.3]] * 8, npcs=[None] * 8)),
+            ("points", np.zeros((2, 3, 2))),  # rows of 2
+            ("points", np.zeros(18)),  # the right count of numbers, no rows
+            ("points", tiny_arrays(points=[[0.1, 0.2, 0.3]] * 4, npcs=[None] * 4)),
+            ("points", np.zeros((2, 1, 3))),
             ("gt_semantic", [0, 1]),
             ("gt_semantic", [[0], [1], [1]]),
             ("gt_instance", [-1, 0, 0, 0]),
-            ("gt_npcs", [None, [0.1, 0.2, 0.3]]),
-            ("gt_npcs", [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]),
-            ("gt_npcs", [None, [0.1, 0.2], [0.3, 0.4, 0.5]]),
-            ("gt_npcs", [None, [0.1, 0.2, 0.3, 0.4], [0.5, 0.6, 0.7, 0.8]]),
-            ("gt_npcs", [None, 0.1, [0.2, 0.3, 0.4]]),
-            ("gt_npcs", [None, [math.nan, 0.2, 0.3], [0.2, 0.3, 0.4]]),
+            ("gt_npcs", np.zeros((1, 3, 3))),  # points alone
+            ("gt_npcs", np.zeros((2, 3, 2))),
+            ("gt_npcs", np.zeros((3, 3, 3))),  # a third array after the NPCS
+            ("gt_npcs", np.zeros((2, 3, 4))),
+            ("gt_npcs", np.zeros((2, 9))),  # NPCS rows run into one
+            ("gt_npcs", tiny_arrays(npcs=[None, [math.nan, 0.2, 0.3], [0.2, 0.3, 0.4]])),
         ],
     )
-    def test_rejects_malformed_arrays(self, key, value):
+    def test_rejects_malformed_arrays(self, tmp_path, key, value):
         data = tiny_scene_dict()
-        data[key] = pack_rows(value) if key in ("points", "gt_npcs") else value
+        npy = value if key in ("points", "gt_npcs") else tiny_arrays()
+        if key not in ("points", "gt_npcs"):
+            data[key] = value
         with pytest.raises(SceneFormatError) as info:
-            scene_from_dict(data)
+            load_tiny(tmp_path, data, npy)
         assert info.value.code == 19
 
     @pytest.mark.parametrize(
         "edit",
         [
-            pytest.param(lambda d: [d], id="top-level-list"),
-            pytest.param(lambda d: "scene", id="top-level-string"),
+            pytest.param(on_json(lambda d: [d]), id="top-level-list"),
+            pytest.param(on_json(lambda d: "scene"), id="top-level-string"),
             *(
-                pytest.param(lambda d, k=key: {n: v for n, v in d.items() if n != k},
+                pytest.param(on_json(lambda d, k=key: {n: v for n, v in d.items() if n != k}),
                              id=f"missing-{key}")
-                for key in ("version", "points", "gt_semantic", "gt_instance",
-                            "gt_npcs", "instances", "camera_pose")
+                for key in ("version", "gt_semantic", "gt_instance", "instances", "camera_pose")
             ),
-            pytest.param(lambda d: {**d, "points": [[0.0, 0.0, 1.0]] * 3},
+            # The .npy, which holds the points, is not there.
+            pytest.param(on_npy(lambda raw: None), id="missing-points"),
+            pytest.param(on_npy(lambda raw: npy_bytes(tiny_arrays()[:1])),
+                         id="missing-gt_npcs"),
+            pytest.param(on_npy(lambda raw: npy_bytes(tiny_arrays()[0])),
                          id="points-as-rows"),
-            pytest.param(lambda d: {**d, "points": 1.0}, id="points-as-number"),
-            pytest.param(lambda d: {**d, "gt_npcs": None}, id="npcs-null"),
-            pytest.param(lambda d: {**d, "points": d["points"][:-1] + "!"},
-                         id="points-bad-char"),
-            pytest.param(lambda d: {**d, "points": d["points"][:4] + "!" + d["points"][4:]},
+            pytest.param(on_npy(lambda raw: npy_bytes(np.float64(1.0))),
+                         id="points-as-number"),
+            # A pickled object array: np.save(allow_pickle=True) of [points, None].
+            pytest.param(on_npy(lambda raw: npy_bytes(
+                np.array([rows_array(TINY_POINTS), None], dtype=object), allow_pickle=True)),
+                         id="npcs-null"),
+            pytest.param(on_npy(lambda raw: raw[:5] + b"X" + raw[6:]), id="points-bad-char"),
+            pytest.param(on_npy(lambda raw: raw[:NPY_DATA + 4] + b"!" + raw[NPY_DATA + 4:]),
                          id="points-inserted-char"),
-            pytest.param(lambda d: {**d, "points": d["points"][:-2]},
-                         id="points-truncated"),
-            pytest.param(lambda d: {**d, "points": d["points"] + "A=="},
-                         id="points-misplaced-padding"),
-            pytest.param(lambda d: {**d, "points": "\u00e9" * 4}, id="points-non-ascii"),
-            pytest.param(lambda d: {**d, "points": pack_rows([0.0] * 8)},
-                         id="points-64-bytes"),
-            pytest.param(lambda d: {**d, "gt_npcs": pack_rows([None, None])},
+            pytest.param(on_npy(lambda raw: raw[:-2]), id="points-truncated"),
+            pytest.param(on_npy(lambda raw: raw + b"A=="), id="points-misplaced-padding"),
+            pytest.param(on_npy(lambda raw: "é".encode() * 4), id="points-non-ascii"),
+            pytest.param(on_npy(lambda raw: npy_bytes(np.zeros(8))), id="points-64-bytes"),
+            pytest.param(on_npy(lambda raw: npy_bytes(tiny_arrays()[:, :2])),
                          id="npcs-2-rows"),
-            pytest.param(lambda d: {**d, "gt_npcs": pack_rows([None, [0.1, 0.2, math.inf],
-                                                               [0.1, 0.2, 0.3]])},
-                         id="npcs-inf"),
-            pytest.param(lambda d: {**d, "gt_npcs": pack_rows([None, [math.nan, math.nan, 0.2],
-                                                               [0.1, 0.2, 0.3]])},
-                         id="npcs-two-nans"),
-            pytest.param(lambda d: {**d, "instances": {}}, id="instances-object"),
-            pytest.param(lambda d: {**d, "instances": [1]}, id="instance-number"),
-            pytest.param(lambda d: {**d, "camera_pose": [1]}, id="camera-list"),
-            pytest.param(lambda d: {**d, "camera_pose": {"R": [1.0] * 9}},
+            pytest.param(on_npy(lambda raw: npy_bytes(tiny_arrays(
+                npcs=[None, [0.1, 0.2, math.inf], [0.1, 0.2, 0.3]]))), id="npcs-inf"),
+            pytest.param(on_npy(lambda raw: npy_bytes(tiny_arrays(
+                npcs=[None, [math.nan, math.nan, 0.2], [0.1, 0.2, 0.3]]))), id="npcs-two-nans"),
+            pytest.param(on_npy(lambda raw: b""), id="npy-empty"),
+            pytest.param(on_npy(lambda raw: raw[:40]), id="npy-header-truncated"),
+            pytest.param(on_npy(lambda raw: npy_bytes(tiny_arrays().astype(">f8"))),
+                         id="npy-big-endian"),
+            pytest.param(on_npy(lambda raw: npy_bytes(tiny_arrays().astype(np.float32))),
+                         id="npy-float32"),
+            pytest.param(on_npy(lambda raw: npy_bytes(np.zeros((2, 3, 3), dtype=np.int64))),
+                         id="npy-int64"),
+            pytest.param(on_npy(lambda raw: raw + b"\0"), id="npy-trailing-byte"),
+            pytest.param(on_npy(lambda raw: npz_bytes(tiny_arrays())), id="npy-zip-archive"),
+            pytest.param(on_json(lambda d: {**d, "instances": {}}), id="instances-object"),
+            pytest.param(on_json(lambda d: {**d, "instances": [1]}), id="instance-number"),
+            pytest.param(on_json(lambda d: {**d, "camera_pose": [1]}), id="camera-list"),
+            pytest.param(on_json(lambda d: {**d, "camera_pose": {"R": [1.0] * 9}}),
                          id="camera-no-t"),
-            pytest.param(lambda d: {**d, "camera_pose": {"R": [1.0] * 9, "t": [0.0] * 3}},
+            pytest.param(on_json(lambda d: {**d, "camera_pose": {"R": [1.0] * 9,
+                                                                   "t": [0.0] * 3}}),
                          id="camera-not-rotation"),
-            pytest.param(lambda d: {**d, "camera_pose": {**d["camera_pose"], "t": [0.0] * 4}},
+            pytest.param(on_json(lambda d: {**d, "camera_pose": {**d["camera_pose"],
+                                                                   "t": [0.0] * 4}}),
                          id="camera-t-4"),
         ],
     )
-    def test_rejects_malformed_file(self, edit):
+    def test_rejects_malformed_file(self, tmp_path, edit):
+        data, raw = edit(tiny_scene_dict(), npy_bytes(tiny_arrays()))
         with pytest.raises(SceneFormatError) as info:
-            scene_from_dict(edit(tiny_scene_dict()))
+            load_scene(write_scene(tmp_path, data, raw))
+        assert info.value.code == 19
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("gt_semantic", 1), 1.7),
+            (("gt_semantic", 1), 1.0),
+            (("gt_semantic", 1), True),
+            (("gt_instance", 0), -1.0),
+            (("gt_instance", 1), False),
+            (("instances", 0, "pose", "s"), True),
+            (("instances", 0, "pose", "R", 0), True),
+            (("instances", 0, "pose", "t", 2), True),
+            (("instances", 0, "size", 1), True),
+            (("instances", 0, "axis", "origin", 0), False),
+            (("instances", 0, "axis", "dir", 0), True),
+            (("camera_pose", "t", 1), False),
+        ],
+    )
+    def test_rejects_what_json_does_not_call_an_integer_or_number(
+        self, tmp_path, path, value
+    ):
+        # Labels are JSON integers and vectors JSON numbers: a float label
+        # or a bool is rejected, however it would cast.
+        data = tiny_scene_dict()
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(SceneFormatError, match="not a JSON (integer|number)") as info:
+            load_tiny(tmp_path, data)
         assert info.value.code == 19
 
     @pytest.mark.parametrize(
@@ -631,6 +749,7 @@ class TestSceneIO:
             (("class",), 1.5),
             (("class",), "2"),
             (("class",), True),
+            (("pose", "s"), [0.2]),  # a scale is one number, not a list
         ],
     )
     def test_rejects_malformed_record(self, path, value):
