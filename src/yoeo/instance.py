@@ -2,11 +2,14 @@
 
 Points vote for their instance centroid (point + predicted offset);
 votes of one semantic class are grouped by single-linkage connectivity
-at a fixed bandwidth, one pass per class. Within a pass, coincident
-votes are collapsed first, neighbor pairs within the bandwidth come
-from a cKDTree, and components are resolved by a vectorized union-find
-over the pair array whose first round hooks straight from the pairs.
-A scene whose points are all background yields no instances.
+at a fixed bandwidth, one pass per class. A pass first tries an exact
+check for dense votes: cut each axis at gaps wider than the bandwidth,
+then chain the votes of each piece in x order with links well inside
+it. When every link holds, the pieces are the components. Otherwise
+coincident votes are collapsed, neighbor pairs within the bandwidth
+come from a cKDTree, and components are resolved by a vectorized
+union-find over the pair array whose first round hooks straight from
+the pairs. A scene whose points are all background yields no instances.
 """
 
 from __future__ import annotations
@@ -101,10 +104,65 @@ def vote_centroids(points: np.ndarray, pred: PerPointPrediction) -> np.ndarray:
 def _connectivity_labels(votes: np.ndarray, bandwidth: float) -> np.ndarray:
     """Single-linkage component label per vote (chains of pairs <= bandwidth).
 
+    Each label is a vote index in [0, len(votes)), one per component. An
+    exact check settles a class of dense votes without a pair search:
+
+    1. Cut: sort the votes along each axis and cut wherever the gap g
+       between neighbours has g*g > b*b, for bandwidth b. query_pairs
+       compares the same subtraction, squared, with b*b, and rounding is
+       monotone: a pair on two sides of a cut differs on that axis by at
+       least g, so its squared distance rounds above b*b and query_pairs
+       never reports it. A vote's piece is its (x, y, z) slab.
+    2. Chain: order the votes by (piece, x). Each two neighbours within a
+       piece must lie within squared distance 0.99*b*b, a margin far wider
+       than any rounding, so each such link is a pair query_pairs reports.
+
+    When every link passes, each piece is exactly one component: its
+    links join it and no pair crosses a cut. Its label is its first
+    position in that order. When a link fails, the whole class goes to
+    the pair search of `_pair_search_labels`. Dense votes (the oracle's,
+    clean or noisy) pass; scattered ones, such as an untrained net's,
+    fail and pay only for the sorts.
+    """
+    reach = bandwidth * bandwidth
+    order = np.argsort(votes[:, 0])
+    ordered = votes[order]
+    slabs, yz_slabs = [], []
+    for axis in range(3):
+        coord = ordered[:, axis]
+        value = coord if axis == 0 else np.sort(coord)
+        gap = value[1:] - value[:-1]
+        cut = gap * gap > reach
+        if cut.any():
+            slabs.append(np.searchsorted(value[1:][cut], coord, side="right"))
+            if axis:
+                yz_slabs.append(slabs[-1])
+    if yz_slabs:
+        # x slabs rise with x, so a stable sort by (y slab, z slab) makes
+        # each piece one run, in x order.
+        regroup = np.lexsort(yz_slabs[::-1])
+        order, ordered = order[regroup], ordered[regroup]
+        slabs = [slab[regroup] for slab in slabs]
+    step = ordered[1:] - ordered[:-1]
+    linked = np.einsum("ij,ij->i", step, step) <= 0.99 * reach
+    new_piece = np.zeros(len(step), dtype=bool)
+    for slab in slabs:
+        new_piece |= slab[1:] != slab[:-1]
+    if not (linked | new_piece).all():
+        return _pair_search_labels(votes, bandwidth)
+    start = np.flatnonzero(np.concatenate(([True], new_piece)))
+    labels = np.empty(len(votes), dtype=np.intp)
+    labels[order] = np.repeat(start, np.diff(start, append=len(votes)))
+    return labels
+
+
+def _pair_search_labels(votes: np.ndarray, bandwidth: float) -> np.ndarray:
+    """Single-linkage component labels from a cKDTree pair search.
+
     Duplicate votes are collapsed before pairing so that perfectly
-    coincident votes (the oracle case) cost O(n log n) instead of O(n^2).
-    The collapse is a lexicographic sort, which yields the same rows and
-    inverse as np.unique(axis=0) at a small fraction of its cost.
+    coincident votes cost O(n log n) instead of O(n^2). The collapse is a
+    lexicographic sort, which yields the same rows and inverse as
+    np.unique(axis=0) at a small fraction of its cost.
 
     Components come from a union-find over the cKDTree pair array. This
     departs on purpose from using scipy where it does the job: for

@@ -591,8 +591,9 @@ def _labels(values, what: str) -> np.ndarray:
 
 
 def _read_arrays(path: Path, n: int) -> np.ndarray:
-    """The (2, n, 3) '<f8' array of a scene's `.npy` file; SceneFormatError
-    for a file that is not one such array with nothing after it."""
+    """The (2, n, 3) C-order '<f8' array of a scene's `.npy` file;
+    SceneFormatError for a file that is not one such array with nothing
+    after it."""
     try:
         with open(path, "rb") as fh:
             # np.load's own .npy reader, without np.load's turn to a zip
@@ -609,6 +610,8 @@ def _read_arrays(path: Path, n: int) -> np.ndarray:
         raise SceneFormatError(
             f"{path.name} holds shape {arrays.shape}, not (2, {n}, 3)"
         )
+    if not arrays.flags.c_contiguous:
+        raise SceneFormatError(f"{path.name} holds a Fortran-order array, not C order")
     if trailing:
         raise SceneFormatError(
             f"{path.name} does not end with its array: {trailing} more bytes"
@@ -620,8 +623,8 @@ def load_scene(path) -> Scene:
     """Read the scene file `path` and its `.npy` (see `save_scene`).
 
     Raises SceneFormatError for a version other than SCENE_SCHEMA_VERSION,
-    a missing or malformed field, a `.npy` that is not one (2, n, 3) '<f8'
-    array with nothing after it, for n points, non-finite points, NPCS
+    a missing or malformed field, a `.npy` that is not one (2, n, 3) C-order
+    '<f8' array with nothing after it, for n points, non-finite points, NPCS
     rows other than three NaNs (background) or three finite numbers,
     classes outside [0, NUM_CLASSES), instance ids outside [-1, number of
     instance records), a point whose class is not its instance record's

@@ -1,7 +1,9 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
@@ -246,9 +248,86 @@ def sparse_graph_labels(votes, bandwidth):
     return labels[inverse]
 
 
-def c8_scene(seed):
-    cfg = GenConfig(rng_seed=seed, **C8_FAMILY)
+SCENE_CONFIGS = {
+    "c8": C8_FAMILY,
+    "default": {},
+    "partial_view": {"partial_view": True},
+}
+
+
+def config_scene(family, seed):
+    cfg = GenConfig(rng_seed=seed, **SCENE_CONFIGS[family])
     return render_scene(generate_object(seed, cfg), cfg)
+
+
+def c8_scene(seed):
+    return config_scene("c8", seed)
+
+
+PREDICTORS = {
+    "noisy": lambda scene, seed: oracle_predict(
+        scene, OracleNoise(0.005, 0.01, rng_seed=seed)
+    ),
+    "flip": lambda scene, seed: oracle_predict(
+        scene, OracleNoise(0.005, 0.01, semantic_flip_prob=0.1, rng_seed=seed)
+    ),
+    "net": lambda scene, seed: forward(init_params(rng_seed=0), scene.points),
+}
+
+
+# Vote sets for the dense-vote check: some it settles, some it hands to
+# the pair search, and some on the edge between.
+
+def dense_blobs(rng, bandwidth):
+    centres = rng.uniform(-0.3, 0.3, size=(rng.integers(1, 4), 3))
+    return np.vstack([
+        blob(rng, centre, rng.integers(1, 300), spread=0.3 * bandwidth)
+        for centre in centres
+    ])
+
+
+def coincident_votes(rng, bandwidth):
+    distinct = rng.uniform(0.0, 3.0 * bandwidth, size=(rng.integers(1, 6), 3))
+    return distinct[rng.integers(0, len(distinct), size=200)]
+
+
+def gap_blobs(rng, bandwidth, gap):
+    """Two dense blobs whose closest coordinates on one axis are 0.0 and
+    `gap` exactly, at two votes that agree on the other axes."""
+    axis = rng.integers(3)
+    left = blob(rng, np.zeros(3), 150, spread=0.3 * bandwidth)
+    right = blob(rng, np.zeros(3), 150, spread=0.3 * bandwidth)
+    left[:, axis] = -rng.uniform(0.0, 0.3 * bandwidth, size=150)
+    right[:, axis] = gap + rng.uniform(0.0, 0.3 * bandwidth, size=150)
+    left[0, axis] = 0.0
+    right[0] = left[0]
+    right[0, axis] = gap
+    return np.vstack([left, right])
+
+
+def chain(rng, step):
+    direction = np.eye(3)[rng.integers(3)] if rng.integers(2) else rng.normal(size=3)
+    direction /= np.linalg.norm(direction)
+    return rng.uniform(-1.0, 1.0, size=3) + np.outer(np.arange(40) * step, direction)
+
+
+def blob_and_sparse(rng, bandwidth):
+    return np.vstack([
+        blob(rng, np.zeros(3), 300, spread=0.3 * bandwidth),
+        rng.uniform(-0.5, 0.5, size=(rng.integers(1, 80), 3)),
+    ])
+
+
+VOTE_SETS = {
+    "dense-blobs": dense_blobs,
+    "coincident": coincident_votes,
+    "gap-exactly-b": lambda rng, b: gap_blobs(rng, b, b),
+    "gap-under-b": lambda rng, b: gap_blobs(rng, b, b * (1.0 - 1e-9)),
+    "gap-over-b": lambda rng, b: gap_blobs(rng, b, b * (1.0 + 1e-9)),
+    "chain-under-b": lambda rng, b: chain(rng, b * (1.0 - 1e-9)),
+    "chain-over-b": lambda rng, b: chain(rng, b * (1.0 + 1e-9)),
+    "blob-and-sparse": blob_and_sparse,
+}
 
 
 class TestConnectivity:
@@ -350,11 +429,11 @@ class TestConnectivity:
     # with the sparse connected-components labelling it replaced.
 
     @staticmethod
-    def assert_same_instances(monkeypatch, points, pred):
-        got = cluster_instances(points, pred)
+    def assert_same_instances(monkeypatch, points, pred, params=ClusterParams()):
+        got = cluster_instances(points, pred, params)
         with monkeypatch.context() as patch:
             patch.setattr(yoeo.instance, "_connectivity_labels", sparse_graph_labels)
-            want = cluster_instances(points, pred)
+            want = cluster_instances(points, pred, params)
         assert [(i.semantic_class, i.point_indices.tolist()) for i in got] == [
             (i.semantic_class, i.point_indices.tolist()) for i in want
         ]
@@ -371,6 +450,60 @@ class TestConnectivity:
         scene = c8_scene(seed)
         pred = forward(init_params(rng_seed=0), scene.points)
         self.assert_same_instances(monkeypatch, scene.points, pred)
+
+    @pytest.mark.parametrize("bandwidth", [0.02, 0.05, 0.1])
+    @pytest.mark.parametrize("predictor", list(PREDICTORS))
+    @pytest.mark.parametrize("family", list(SCENE_CONFIGS))
+    def test_scene_families_and_bandwidths(self, monkeypatch, family, predictor, bandwidth):
+        seed = 8 + list(SCENE_CONFIGS).index(family)
+        scene = config_scene(family, seed)
+        pred = PREDICTORS[predictor](scene, seed)
+        self.assert_same_instances(
+            monkeypatch, scene.points, pred, ClusterParams(bandwidth=bandwidth)
+        )
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(list(VOTE_SETS)),
+        bandwidth=st.sampled_from([0.02, 0.05, 0.1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_check_matches_pair_search(self, kind, bandwidth, seed):
+        votes = VOTE_SETS[kind](np.random.default_rng(seed), bandwidth)
+        votes = votes[np.random.default_rng(seed + 1).permutation(len(votes))]
+        got = _connectivity_labels(votes, bandwidth)
+        assert ((got >= 0) & (got < len(votes))).all()
+        assert partition(got) == partition(sparse_graph_labels(votes, bandwidth))
+
+    # Which path a class takes: dense votes are settled by the check, an
+    # untrained net's scattered votes go to the pair search.
+
+    class PairSearchReached(Exception):
+        pass
+
+    def refuse_pair_search(self, monkeypatch):
+        def refuse(votes, bandwidth):
+            raise self.PairSearchReached
+
+        monkeypatch.setattr(yoeo.instance, "_pair_search_labels", refuse)
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    @pytest.mark.parametrize(
+        "noise", [OracleNoise(), OracleNoise(0.005, 0.01)], ids=["clean", "noisy"]
+    )
+    def test_oracle_votes_skip_pair_search(self, monkeypatch, seed, noise):
+        scene = c8_scene(seed)
+        pred = oracle_predict(scene, dataclasses.replace(noise, rng_seed=seed))
+        self.refuse_pair_search(monkeypatch)
+        assert len(cluster_instances(scene.points, pred)) > 0
+
+    @pytest.mark.parametrize("seed", [6, 7])
+    def test_untrained_net_votes_reach_pair_search(self, monkeypatch, seed):
+        scene = c8_scene(seed)
+        pred = forward(init_params(rng_seed=0), scene.points)
+        self.refuse_pair_search(monkeypatch)
+        with pytest.raises(self.PairSearchReached):
+            cluster_instances(scene.points, pred)
 
     def test_mixed_classes_match_brute_force_per_class(self):
         # Votes of three classes share one region: some coincide across
@@ -418,6 +551,24 @@ class TestConnectivity:
         finally:
             tracemalloc.stop()
         assert peak < 1.6e6
+
+    # Noisy oracle votes pass the dense-vote check, so no pair array is
+    # built at all: the pass over a class holds a few arrays of its votes,
+    # about 0.2 MB on these scenes, where the pair search traced 0.65 to
+    # 0.83 MB.
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_noisy_oracle_c8_traced_peak_without_pairs(self, seed):
+        scene = c8_scene(seed)
+        pred = oracle_predict(scene, OracleNoise(0.005, 0.01, rng_seed=seed))
+        cluster_instances(scene.points, pred)
+        tracemalloc.start()
+        try:
+            cluster_instances(scene.points, pred)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.4e6
 
 
 class TestExtractNpcs:

@@ -672,6 +672,8 @@ class TestSceneIO:
             pytest.param(on_npy(lambda raw: npy_bytes(np.zeros((2, 3, 3), dtype=np.int64))),
                          id="npy-int64"),
             pytest.param(on_npy(lambda raw: raw + b"\0"), id="npy-trailing-byte"),
+            pytest.param(on_npy(lambda raw: npy_bytes(np.asfortranarray(tiny_arrays()))),
+                         id="npy-fortran-order"),
             pytest.param(on_npy(lambda raw: npz_bytes(tiny_arrays())), id="npy-zip-archive"),
             pytest.param(on_json(lambda d: {**d, "instances": {}}), id="instances-object"),
             pytest.param(on_json(lambda d: {**d, "instances": [1]}), id="instance-number"),
