@@ -21,6 +21,7 @@ import concurrent.futures
 import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import re
 import sys
@@ -54,6 +55,7 @@ from .synthetic import (
     Scene,
     _as_array,
     _get,
+    _json_load,
     export_ply,
     generate_object,
     load_scene,
@@ -154,7 +156,7 @@ def _reading(what: str, path, error=ConfigError):
 
 def _load_config_file(path: str) -> dict:
     with _reading("config file", path), open(path) as fh:
-        data = json.load(fh)
+        data = _json_load(fh)
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path}: must hold a JSON object")
     return data
@@ -373,9 +375,7 @@ def cmd_train(args) -> int:
 
 def prediction_to_dict(pred: InstancePrediction) -> dict:
     result = pred.result
-    record = InstanceRecord(
-        pred.semantic_class, result.transform, result.size, result.axis
-    )
+    record = InstanceRecord(pred.semantic_class, result.transform, result.size, pred.axis)
     return {
         **record_to_dict(record),
         "inliers": result.inliers,
@@ -396,11 +396,8 @@ def prediction_from_dict(data, n_points: int) -> InstancePrediction:
         raise SceneFormatError("point_indices must be a list and inliers one integer")
     if ((point_indices < 0) | (point_indices >= n_points)).any():
         raise SceneFormatError(f"point_indices must lie in [0, {n_points})")
-    return InstancePrediction(
-        semantic_class=record.semantic_class,
-        point_indices=point_indices,
-        result=PoseResult(record.pose, record.size, int(inliers), record.axis),
-    )
+    result = PoseResult(record.pose, record.size, int(inliers))
+    return InstancePrediction(record.semantic_class, point_indices, result, record.axis)
 
 
 def _read_predictions(path: Path, n_points: int) -> list[InstancePrediction]:
@@ -409,7 +406,7 @@ def _read_predictions(path: Path, n_points: int) -> list[InstancePrediction]:
     record raises ConfigError that names the file."""
     with _reading("prediction file", path):
         with open(path) as fh:
-            payload = json.load(fh)
+            payload = _json_load(fh)
         version = _get(payload, "version", "prediction")
         if version != PRED_SCHEMA_VERSION:
             raise SceneFormatError(f"unsupported prediction version {version!r}")
@@ -520,9 +517,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built once: it costs about 20 `parse_args` calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except YoeoError as exc:

@@ -21,17 +21,18 @@ ROTATION_TOL = 1e-9
 def check_rotation(matrix: np.ndarray) -> np.ndarray:
     """Validate a proper rotation matrix and return it as float64.
 
-    Raises ValueError when columns are not orthonormal within
-    ROTATION_TOL or the determinant is not +1 within ROTATION_TOL.
+    Raises ValueError when columns are not orthonormal within ROTATION_TOL
+    (never so with a NaN or infinite entry) or det is not +1 within it.
     """
     r = np.asarray(matrix, dtype=np.float64)
     if r.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got {r.shape}")
-    err = np.abs(r.T @ r - np.eye(3)).max()
-    if err > ROTATION_TOL:
+    with np.errstate(invalid="ignore", over="ignore"):
+        err = np.abs(r.T @ r - np.eye(3)).max()
+    if not err <= ROTATION_TOL:  # a NaN or infinite entry makes err NaN or inf
         raise ValueError(f"matrix is not orthonormal (max deviation {err:.3e})")
     det = np.linalg.det(r)
-    if abs(det - 1.0) > ROTATION_TOL:
+    if not abs(det - 1.0) <= ROTATION_TOL:
         raise ValueError(f"matrix is not a proper rotation (det {det:.12f})")
     return r
 
@@ -53,9 +54,9 @@ def rotation_about_axis(axis: np.ndarray, angle_rad: float) -> np.ndarray:
 class Sim3Transform:
     """Similarity transform {s, R, t}: p -> s * R @ p + t.
 
-    `scale` must be positive and `rotation` a proper rotation; both are
-    validated at construction. With scale pinned to 1 this doubles as the
-    SE(3) pose carrier.
+    `scale` must be positive and finite, `rotation` a proper rotation and
+    `translation` finite; all are validated at construction. With scale
+    pinned to 1 this doubles as the SE(3) pose carrier.
     """
 
     scale: float
@@ -67,6 +68,8 @@ class Sim3Transform:
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
         r = check_rotation(self.rotation).copy()
         t = np.asarray(self.translation, dtype=np.float64).reshape(3).copy()
+        if not np.isfinite(t).all():
+            raise ValueError(f"translation must be finite, got {t}")
         r.setflags(write=False)
         t.setflags(write=False)
         object.__setattr__(self, "rotation", r)

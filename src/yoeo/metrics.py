@@ -13,9 +13,8 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .geometry import rotation_geodesic_deg
-from .npcs import PoseResult
 from .pipeline import InstancePrediction
-from .synthetic import Scene
+from .synthetic import InstanceRecord, Scene
 
 MATCH_IOU_THRESHOLD = 0.25
 
@@ -49,42 +48,38 @@ def match_instances(
 ) -> InstanceMatching:
     """Greedy one-to-one matching by descending point-membership IoU.
 
-    Candidates must share the semantic class; pairs below the 0.25 IoU
-    floor stay unmatched. Ties resolve by (prediction, gt) index so the
-    pairing is deterministic.
+    IoU is inter / (|P| + |G| - inter) for a prediction's distinct point
+    indices P and a gt instance's points G; one bincount over the gt
+    owners of P gives inter for every gt instance. Candidates must share
+    the semantic class; pairs below the 0.25 IoU floor stay unmatched.
+    Ties resolve by (prediction, gt) index, so the pairing is deterministic.
     """
-    gt_sets = {
-        idx: set(np.flatnonzero(scene.gt_instance == idx).tolist())
-        for idx in range(len(scene.instances))
-    }
+    # gt_instance + 1 puts the background (-1) in bin 0, which [1:] drops.
+    owners = scene.gt_instance + 1
+    bins = len(scene.instances) + 1
+    gt_sizes = np.bincount(owners, minlength=bins)[1:].tolist()
 
     candidates = []
     for p_idx, pred in enumerate(predictions):
-        members = set(pred.point_indices.tolist())
-        for g_idx, record in enumerate(scene.instances):
-            if record.semantic_class != pred.semantic_class:
+        members = np.unique(pred.point_indices)
+        shared = np.bincount(owners[members], minlength=bins)[1:].tolist()
+        for g_idx, inter in enumerate(shared):
+            if not inter or scene.instances[g_idx].semantic_class != pred.semantic_class:
                 continue
-            gt_members = gt_sets[g_idx]
-            if not gt_members and not members:
-                continue
-            inter = len(members & gt_members)
-            union = len(members | gt_members)
-            iou = inter / union if union else 0.0
+            iou = inter / (len(members) + gt_sizes[g_idx] - inter)
             if iou >= MATCH_IOU_THRESHOLD:
                 candidates.append((-iou, p_idx, g_idx, iou))
 
-    candidates.sort()
-    used_pred, used_gt, pairs = set(), set(), []
-    for _, p_idx, g_idx, iou in candidates:
-        if p_idx in used_pred or g_idx in used_gt:
-            continue
-        used_pred.add(p_idx)
-        used_gt.add(g_idx)
-        pairs.append((p_idx, g_idx, iou))
-
-    missed = [g for g in range(len(scene.instances)) if g not in used_gt]
-    spurious = [p for p in range(len(predictions)) if p not in used_pred]
-    return InstanceMatching(pairs, missed, spurious)
+    pred_free = np.ones(len(predictions), dtype=bool)
+    gt_free = np.ones(len(scene.instances), dtype=bool)
+    pairs = []
+    for _, p_idx, g_idx, iou in sorted(candidates):
+        if pred_free[p_idx] and gt_free[g_idx]:
+            pred_free[p_idx] = gt_free[g_idx] = False
+            pairs.append((p_idx, g_idx, iou))
+    return InstanceMatching(
+        pairs, np.flatnonzero(gt_free).tolist(), np.flatnonzero(pred_free).tolist()
+    )
 
 
 def _axis_line_distance(o1, d1, o2, d2) -> float:
@@ -149,33 +144,26 @@ def box_iou3d(center_a, rot_a, size_a, center_b, rot_b, size_b) -> float:
     return inter / (vol_a + vol_b - inter)
 
 
-def pose_errors(pred: PoseResult, gt_pose, gt_size, gt_axis) -> PoseErrors:
-    """Error metrics for one matched prediction/gt pair.
+def pose_errors(pred: InstancePrediction, gt: InstanceRecord) -> PoseErrors:
+    """Error metrics for a predicted part and its matched gt record.
 
-    Rotation error is the geodesic angle, translation error the
-    Euclidean gap between transform translations. Size error is computed
-    on gt-diagonal-normalized sizes (raw meters reported alongside).
-    The IoU is the exact overlap of the two oriented boxes.
+    Rotation error is the geodesic angle, translation error the Euclidean
+    gap between transform translations. Size error is computed on
+    gt-diagonal-normalized sizes (raw meters reported alongside). `de` is
+    the distance between the axis lines, `iou3d` the exact box overlap.
     """
-    re = rotation_geodesic_deg(pred.transform.rotation, gt_pose.rotation)
-    te = float(np.linalg.norm(pred.transform.translation - gt_pose.translation))
-    gt_diag = float(np.linalg.norm(gt_size))
-    se = float(np.linalg.norm((np.asarray(pred.size) - gt_size) / gt_diag))
-    se_raw = float(np.linalg.norm(np.asarray(pred.size) - gt_size))
-
-    if pred.axis is not None:
-        de = _axis_line_distance(
-            pred.axis.origin, pred.axis.direction, gt_axis.origin, gt_axis.direction
-        )
-    else:
-        de = np.inf
-
-    center_pred = pred.transform.apply(np.full(3, 0.5))
-    center_gt = gt_pose.apply(np.full(3, 0.5))
-    iou = box_iou3d(
-        center_pred, pred.transform.rotation, pred.size,
-        center_gt, gt_pose.rotation, gt_size,
+    pose, size = pred.result.transform, np.asarray(pred.result.size)
+    re = rotation_geodesic_deg(pose.rotation, gt.pose.rotation)
+    te = float(np.linalg.norm(pose.translation - gt.pose.translation))
+    gt_diag = float(np.linalg.norm(gt.size))
+    se = float(np.linalg.norm((size - gt.size) / gt_diag))
+    se_raw = float(np.linalg.norm(size - gt.size))
+    de = _axis_line_distance(
+        pred.axis.origin, pred.axis.direction, gt.axis.origin, gt.axis.direction
     )
+    center = np.full(3, 0.5)  # of the canonical unit cube
+    iou = box_iou3d(pose.apply(center), pose.rotation, size,
+                    gt.pose.apply(center), gt.pose.rotation, gt.size)
     return PoseErrors(re, te, se, de, iou, se_raw)
 
 
@@ -225,15 +213,8 @@ class EvalReport:
 
         for cls in sorted(self.per_class):
             rows.append(fmt(self.per_class[cls], f"class {cls}"))
-        rows.append(
-            fmt(
-                self.overall,
-                "all",
-                a5=f"{self.a5:.1f}",
-                a10=f"{self.a10:.1f}",
-                param=str(self.param_count) if self.param_count else "-",
-            )
-        )
+        param = str(self.param_count) if self.param_count else "-"
+        rows.append(fmt(self.overall, "all", f"{self.a5:.1f}", f"{self.a10:.1f}", param))
         widths = [max(len(r[i]) for r in rows + [headers]) for i in range(len(headers))]
         lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]
         for row in rows:
@@ -259,10 +240,7 @@ def evaluate_scenes(
         spurious += len(matching.spurious_pred)
         for p_idx, g_idx, _ in matching.pairs:
             record = scene.instances[g_idx]
-            errors = pose_errors(
-                preds[p_idx].result, record.pose, record.size, record.axis
-            )
-            rows.append((record.semantic_class, errors))
+            rows.append((record.semantic_class, pose_errors(preds[p_idx], record)))
         for g_idx in matching.missed_gt:
             rows.append((scene.instances[g_idx].semantic_class, UNMATCHED))
 

@@ -104,9 +104,9 @@ def init_params(
 def point_features(points: np.ndarray, k: int) -> np.ndarray:
     """Per-point feature rows: centered xyz and the k-NN mean offset.
 
-    Neighbors come from a cKDTree query, exclude the point itself (or,
-    when more than k exact duplicates crowd it out, the farthest
-    candidate) and are averaged in ascending distance order, which keeps
+    Neighbors are columns 1..k of a cKDTree query for k + 1 (column 0, at
+    distance 0, is the point itself or an exact duplicate of it) and are
+    averaged in ascending distance order, which keeps
     the result invariant to input permutation (up to exact distance
     ties). Non-finite input yields all-NaN rows, so training stops on a
     NonFiniteLoss instead of a tree-construction error. So does finite
@@ -128,17 +128,14 @@ def point_features(points: np.ndarray, k: int) -> np.ndarray:
     dist, idx = cKDTree(centered, balanced_tree=False).query(centered, k=k + 1)
     if not np.isfinite(dist).all():
         return np.full((n, 6), np.nan)
-    others = idx != np.arange(n)[:, None]
-    others[others.all(axis=1), -1] = False
-    idx = idx[others].reshape(n, k)
     # One column at a time, each neighbour added in ascending distance
     # order: the same sums as numpy's mean over axis 1 of the (n, k, 3)
     # gather, bit for bit, without building it.
     out = np.empty((n, 6))
     out[:, :3] = centered
     for c, col in enumerate(centered.T):
-        acc = col[idx[:, 0]]
-        for j in range(1, k):
+        acc = col[idx[:, 1]]
+        for j in range(2, k + 1):
             acc += col[idx[:, j]]
         acc /= k
         np.subtract(acc, col, out=out[:, 3 + c])
@@ -289,10 +286,14 @@ class TrainConfig:
     freeze: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not (self.learning_rate > 0 and self.epochs >= 1 and self.batch_scenes >= 1):
-            raise ValueError("learning_rate, epochs, batch_scenes must be positive")
-        if min(self.w_sem, self.w_center, self.w_npcs) < 0:
-            raise ValueError("w_sem, w_center and w_npcs must be >= 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be > 0 and finite")
+        if not (self.epochs >= 1 and self.batch_scenes >= 1):
+            raise ValueError("epochs and batch_scenes must be positive")
+        if not 0 <= self.momentum < 1:
+            raise ValueError("momentum must be in [0, 1)")
+        if not all(0 <= w < np.inf for w in (self.w_sem, self.w_center, self.w_npcs)):
+            raise ValueError("w_sem, w_center and w_npcs must be >= 0 and finite")
         bad = set(self.freeze) - {"sem", "center", "npcs"}
         if bad:
             raise ValueError(f"unknown heads in freeze: {sorted(bad)}")
@@ -429,8 +430,8 @@ class OracleNoise:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.offset_sigma < 0 or self.npcs_sigma < 0:
-            raise ValueError("offset_sigma and npcs_sigma must be >= 0")
+        if not (0 <= self.offset_sigma < np.inf and 0 <= self.npcs_sigma < np.inf):
+            raise ValueError("offset_sigma and npcs_sigma must be >= 0 and finite")
         if not 0.0 <= self.semantic_flip_prob <= 1.0:
             raise ValueError("semantic_flip_prob must be in [0, 1]")
 

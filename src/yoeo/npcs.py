@@ -82,12 +82,12 @@ def canonicalize_part(
 
 @dataclass(frozen=True)
 class PoseResult:
-    """Recovered pose/size for one part instance."""
+    """What alignment recovers for one part: the canonical -> camera
+    transform, the metric size and the number of RANSAC inliers."""
 
     transform: Sim3Transform
     size: np.ndarray
     inliers: int
-    axis: JointAxis | None = None
 
 
 def recover_pose(

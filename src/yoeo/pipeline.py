@@ -2,24 +2,26 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateInput, NoConsensus
 from .geometry import RansacParams
 from .instance import ClusterParams, PerPointPrediction, cluster_instances
-from .npcs import PoseResult, recover_pose, transform_axis
+from .npcs import JointAxis, PoseResult, recover_pose, transform_axis
 from .parts import canonical_joint_axis
 
 
 @dataclass(frozen=True)
 class InstancePrediction:
-    """One estimated part: class, membership, and recovered pose/size."""
+    """One estimated part: class, member point indices, recovered pose and
+    size, and the class's joint axis carried by that pose (camera frame)."""
 
     semantic_class: int
     point_indices: np.ndarray
     result: PoseResult
+    axis: JointAxis
 
 
 def run_scene_pipeline(
@@ -45,13 +47,9 @@ def run_scene_pipeline(
         except (NoConsensus, DegenerateInput):
             continue
         canonical_extents = result.size / result.transform.scale
-        axis = transform_axis(
-            canonical_joint_axis(inst.semantic_class, canonical_extents),
-            result.transform,
-        )
+        axis = canonical_joint_axis(inst.semantic_class, canonical_extents)
+        axis = transform_axis(axis, result.transform)
         predictions.append(
-            InstancePrediction(
-                inst.semantic_class, inst.point_indices, replace(result, axis=axis)
-            )
+            InstancePrediction(inst.semantic_class, inst.point_indices, result, axis)
         )
     return predictions

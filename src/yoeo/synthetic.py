@@ -132,8 +132,10 @@ class GenConfig:
             "camera_azimuth_range_deg",
         ):
             low, high = getattr(self, name)
-            if not low <= high:
-                raise ValueError(f"{name} must be (low, high) with low <= high")
+            if not -np.inf < low <= high < np.inf:
+                raise ValueError(f"{name} must be (low, high) with low <= high, finite")
+            if name in ("body_extents_range", "camera_distance_range") and not low > 0:
+                raise ValueError(f"{name} must be (low, high) with low > 0")
 
 
 @dataclass(frozen=True)
@@ -479,6 +481,15 @@ def record_to_dict(record: InstanceRecord) -> dict:
     }
 
 
+def _reject_constant(name: str):
+    raise SceneFormatError(f"{name} is not a JSON number")
+
+
+def _json_load(fh):
+    """`json.load` without NaN and ±Infinity, which JSON does not define."""
+    return json.load(fh, parse_constant=_reject_constant)
+
+
 def _get(data, key: str, what: str):
     """`data[key]`; SceneFormatError if `data` is not an object or lacks `key`."""
     if not isinstance(data, dict):
@@ -623,16 +634,17 @@ def load_scene(path) -> Scene:
     """Read the scene file `path` and its `.npy` (see `save_scene`).
 
     Raises SceneFormatError for a version other than SCENE_SCHEMA_VERSION,
-    a missing or malformed field, a `.npy` that is not one (2, n, 3) C-order
-    '<f8' array with nothing after it, for n points, non-finite points, NPCS
-    rows other than three NaNs (background) or three finite numbers,
-    classes outside [0, NUM_CLASSES), instance ids outside [-1, number of
-    instance records), a point whose class is not its instance record's
-    class (BACKGROUND_CLASS for instance -1), and point coordinates
-    beyond MAX_COORDINATE_M, which no later stage can use.
+    a missing or malformed field, NaN or ±Infinity in the JSON, a `.npy`
+    that is not one (2, n, 3) C-order '<f8' array with nothing after it,
+    for n points, non-finite points, NPCS rows other than three NaNs
+    (background) or three finite numbers, classes outside [0, NUM_CLASSES),
+    instance ids outside [-1, number of instance records), a point whose
+    class is not its instance record's class (BACKGROUND_CLASS for
+    instance -1), and point coordinates beyond MAX_COORDINATE_M, which no
+    later stage can use.
     """
     with open(path) as fh:
-        data = json.load(fh)
+        data = _json_load(fh)
     version = _get(data, "version", "scene")
     if type(version) is int and 1 <= version < SCENE_SCHEMA_VERSION:
         raise SceneFormatError(

@@ -783,10 +783,10 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys, command, config, 
 def test_config_value_of_right_type_accepted(tmp_path):
     # An int fits a float key and a range of floats; null fits a None default.
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"body_extents_range": [0, 1], "export_ply": False}))
+    cfg.write_text(json.dumps({"body_extents_range": [1, 1], "export_ply": False}))
     out = generate(tmp_path, count=1, points=512, extra=("--config", cfg))
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["body_extents_range"] == [0, 1]
+    assert manifest["config"]["body_extents_range"] == [1, 1]
     cfg.write_text(json.dumps({"weights": None, "offset_sigma": 0, "bandwidth": 1}))
     assert run("infer", "--config", cfg, "--data", out, "--oracle",
                "--out", tmp_path / "p") == 0
@@ -911,6 +911,10 @@ class TestEval:
             (("pose", "t", 0), False),
             (("size", 2), True),
             (("axis", "dir", 0), True),
+            # Python's json writes and reads these; JSON has no such numbers.
+            (("pose", "R", 0), float("nan")),
+            (("pose", "t", 1), float("inf")),
+            (("size", 0), float("-inf")),
         ],
     )
     def test_prediction_value_not_a_json_integer_or_number_rejected(
@@ -933,6 +937,26 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith(f"YOEO-E2: prediction file {pred_file}: ")
         assert re.search("not a JSON (integer|number)", err)
+
+    @pytest.mark.parametrize("key, entry", [("R", 0), ("R", 4), ("t", 2)])
+    def test_prediction_pose_number_past_float_range_rejected(
+        self, tmp_path, capsys, key, entry
+    ):
+        # 1e400 is a JSON number, which Python reads as infinity.
+        data = generate(tmp_path, count=1)
+        preds = tmp_path / "preds"
+        assert run("infer", "--data", data, "--oracle", "--out", preds) == 0
+        pred_file = preds / "pred_00000.json"
+        payload = json.loads(pred_file.read_text())
+        payload["instances"][0]["pose"][key][entry] = "HUGE"
+        pred_file.write_text(json.dumps(payload).replace('"HUGE"', "1e400"))
+        out = tmp_path / "e"
+        code = run("eval", "--data", data, "--preds", preds, "--out", out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"YOEO-E2: prediction file {pred_file}: ")
+        assert re.search("not orthonormal|translation must be finite", err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("index", [768, 10**6, -1, -5])
     def test_point_index_outside_scene_rejected(self, tmp_path, capsys, index):
@@ -988,6 +1012,15 @@ class TestEval:
         assert "unknown config fields" in capsys.readouterr().err
 
 
+# Config files a run must reject before it writes anything.
+BAD_CONFIGS = {
+    "nan_sigma": '{"offset_sigma": NaN}',
+    "infinite_weight": '{"w_center": Infinity}',
+    "negative_extents": '{"body_extents_range": [-1, 0.1]}',
+    "zero_distance": '{"camera_distance_range": [0, 0]}',
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1002,13 +1035,33 @@ class TestEval:
         pytest.param(["train", "--hidden1", 0], id="train-hidden1-0"),
         pytest.param(["train", "--hidden1", -2], id="train-hidden1-negative"),
         pytest.param(["train", "--k", 0], id="train-k-0"),
+        pytest.param(["infer", "--data", "{data}", "--oracle", "--offset-sigma", "nan"],
+                     id="infer-offset-sigma-nan"),
+        pytest.param(["infer", "--data", "{data}", "--oracle", "--npcs-sigma", "inf"],
+                     id="infer-npcs-sigma-inf"),
+        pytest.param(["infer", "--data", "{data}", "--oracle", "--config", "{nan_sigma}"],
+                     id="infer-config-nan"),
+        pytest.param(["train", "--momentum", "nan"], id="train-momentum-nan"),
+        pytest.param(["train", "--momentum", 1], id="train-momentum-1"),
+        pytest.param(["train", "--learning-rate", "inf"], id="train-learning-rate-inf"),
+        pytest.param(["train", "--w-sem", "nan"], id="train-w-sem-nan"),
+        pytest.param(["train", "--config", "{infinite_weight}"], id="train-config-infinity"),
+        pytest.param(["generate", "--config", "{negative_extents}"],
+                     id="generate-body-extents-negative"),
+        pytest.param(["generate", "--config", "{zero_distance}"],
+                     id="generate-camera-distance-0"),
     ],
 )
 def test_bad_run_rejected_before_output(tmp_path, capsys, roundtrip_inputs, argv):
     data, _ = roundtrip_inputs
     (tmp_path / "empty").mkdir()
     paths = {"data": data, "empty": tmp_path / "empty", "missing": tmp_path / "nope"}
+    for name, text in BAD_CONFIGS.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
     argv = [str(a).format(**paths) for a in argv]
+    if argv[0] == "generate":
+        argv += ["--seed", 1, "--count", 1, "--points", 512]
     if argv[0] == "train":
         argv += ["--seed", 1, "--data", data, "--hidden2", 8]
     out = tmp_path / "out"
@@ -1027,6 +1080,7 @@ def test_bad_run_rejected_before_output(tmp_path, capsys, roundtrip_inputs, argv
         (["train", "--seed", 1, "--k", 0], "--k must be >= 1"),
         (["train", "--seed", 1, "--hidden2", -2], "--hidden2 must be >= 1"),
         (["train", "--seed", 1, "--w-npcs", -1], "--w-npcs must be >= 0"),
+        (["train", "--seed", 1, "--momentum", 1], "--momentum must be in [0, 1)"),
         (["generate", "--seed", 1, "--points", 100], "--points must be >= 512"),
         (["generate", "--seed", 1, "--objects-per-scene", 0],
          "--objects-per-scene must be >= 1"),
@@ -1058,8 +1112,15 @@ def label_seven(raw: bytes) -> bytes:
 
 
 # Breakage -> (the file it breaks, beside the scene's JSON; its new bytes).
+def camera_r_nan(raw: bytes) -> bytes:
+    scene = json.loads(raw)
+    scene["camera_pose"]["R"][0] = float("nan")
+    return json.dumps(scene).encode()
+
+
 SCENE_BREAKS = {
     "label-7": (".json", label_seven),
+    "camera-R-nan": (".json", camera_r_nan),
     "invalid-json": (".json", lambda raw: b"{not json"),
     "not-utf8": (".json", lambda raw: b"\xff\xfe"),
     "npy-empty": (".npy", lambda raw: b""),

@@ -132,11 +132,11 @@ def test_uniformly_scaled_scene(seed, s):
         assert np.array_equal(b.point_indices, a.point_indices)
         assert b.result.inliers == a.result.inliers
         assert np.array_equal(b.result.transform.rotation, a.result.transform.rotation)
-        assert np.array_equal(b.result.axis.direction, a.result.axis.direction)
+        assert np.array_equal(b.axis.direction, a.axis.direction)
         assert b.result.transform.scale == a.result.transform.scale * s
         assert np.array_equal(b.result.transform.translation, a.result.transform.translation * s)
         assert np.array_equal(b.result.size, a.result.size * s)
-        assert np.array_equal(b.result.axis.origin, a.result.axis.origin * s)
+        assert np.array_equal(b.axis.origin, a.axis.origin * s)
     # Scored against the scaled ground truth, angles, ratios and IoU are
     # unchanged and the length errors are s times the unscaled ones.
     report, scaled = evaluate_scenes([scene], [base]), evaluate_scenes([big], [got])

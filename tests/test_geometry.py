@@ -448,6 +448,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             Sim3Transform(0.0, np.eye(3), np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 2)])
+    def test_rejects_non_finite_rotation(self, bad, entry):
+        # Every comparison with NaN is false, so a check written as
+        # "reject if err > tol" would let these through. 1e200 is finite,
+        # but its square overflows.
+        m = np.eye(3)
+        m[entry] = bad
+        with pytest.raises(ValueError, match="not orthonormal"):
+            check_rotation(m)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            Sim3Transform(1.0, m, np.zeros(3))
+        with pytest.raises(ValueError, match="not orthonormal"):
+            check_rotation(np.full((3, 3), bad))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_translation(self, bad):
+        with pytest.raises(ValueError, match="translation must be finite"):
+            Sim3Transform(1.0, np.eye(3), np.array([0.1, bad, 0.0]))
+
     def test_ransac_params_validation(self):
         with pytest.raises(ValueError):
             RansacParams(max_iterations=0)

@@ -16,7 +16,7 @@ from yoeo.metrics import (
 from yoeo.network import OracleNoise, oracle_predict
 from yoeo.npcs import JointAxis, PoseResult
 from yoeo.pipeline import InstancePrediction, run_scene_pipeline
-from yoeo.synthetic import GenConfig, generate_object, render_scene
+from yoeo.synthetic import GenConfig, InstanceRecord, generate_object, render_scene
 
 
 def oracle_scene_predictions(seed, noise=OracleNoise(), cfg=None):
@@ -54,6 +54,7 @@ class TestMatchInstances:
             target.semantic_class,
             target.point_indices[: len(target.point_indices) // 2],
             target.result,
+            target.axis,
         )
         matching = match_instances(list(preds) + [half], scene)
         assert len(matching.pairs) == len(scene.instances)
@@ -62,6 +63,11 @@ class TestMatchInstances:
 
 def axis_z():
     return JointAxis(np.zeros(3), np.array([0.0, 0.0, 1.0]), "revolute")
+
+
+def part(pose, size, axis):
+    """A predicted part with `pose`, `size` and `axis`, of class 1."""
+    return InstancePrediction(1, np.arange(100), PoseResult(pose, size, 100), axis)
 
 
 class TestPoseErrors:
@@ -73,8 +79,7 @@ class TestPoseErrors:
     def test_zero_diagonal(self):
         gt = self.gt_pose()
         size = np.array([0.2, 0.15, 0.1])
-        pred = PoseResult(gt, size, 100, axis_z())
-        errors = pose_errors(pred, gt, size, axis_z())
+        errors = pose_errors(part(gt, size, axis_z()), InstanceRecord(1, gt, size, axis_z()))
         assert errors.re_deg < 1e-6
         assert errors.te == 0.0
         assert errors.se == 0.0
@@ -87,7 +92,9 @@ class TestPoseErrors:
         moved = Sim3Transform(
             gt.scale, gt.rotation, gt.translation + np.array([0.01, 0, 0])
         )
-        errors = pose_errors(PoseResult(moved, size, 100, axis_z()), gt, size, axis_z())
+        errors = pose_errors(
+            part(moved, size, axis_z()), InstanceRecord(1, gt, size, axis_z())
+        )
         assert errors.te == pytest.approx(0.01, abs=1e-12)
         assert errors.re_deg < 1e-6
 
@@ -98,7 +105,7 @@ class TestPoseErrors:
             np.array([0.02, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]), "revolute"
         )
         errors = pose_errors(
-            PoseResult(gt, size, 100, shifted_axis), gt, size, axis_z()
+            part(gt, size, shifted_axis), InstanceRecord(1, gt, size, axis_z())
         )
         assert errors.de == pytest.approx(0.02, abs=1e-12)
 

@@ -146,6 +146,18 @@ def duplicates_cloud():
     return np.vstack([cloud, np.repeat(cloud[:1], 12, axis=0)])
 
 
+def repeated_points_clouds():
+    """Clouds of 300 points drawn from 3, 12 and 40 positions: each point has
+    many exact copies, so a k + 1 query often lists a copy before the point
+    itself, and with few positions leaves the point out altogether."""
+    rng = np.random.default_rng(24)
+    clouds = []
+    for positions in (3, 12, 40):
+        spots = rng.uniform(-0.5, 0.5, size=(positions, 3))
+        clouds.append(spots[rng.integers(0, positions, size=300)])
+    return clouds
+
+
 class TestPointFeatures:
     def test_matches_brute_force(self):
         points = np.random.default_rng(20).uniform(-0.5, 0.5, size=(300, 3))
@@ -176,6 +188,27 @@ class TestPointFeatures:
             expected = np.concatenate([centered, centered[idx].mean(axis=1) - centered], axis=1)
             got = point_features(points, k)
             assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("k", [1, 8, 16])
+    def test_repeated_points_bit_equal_to_self_index_mask(self, k):
+        # Column 0 of the k + 1 query is at distance 0, the point or an exact
+        # copy, so dropping it gives the same coordinates in the same order
+        # as dropping the point's own index (or, where k copies crowd it out,
+        # the last column), on the same tree.
+        copy_first = crowded_out = 0
+        for points in repeated_points_clouds():
+            n = len(points)
+            centered = points - np.sort(points, axis=0).mean(axis=0)
+            idx = cKDTree(centered, balanced_tree=False).query(centered, k=k + 1)[1]
+            others = idx != np.arange(n)[:, None]
+            copy_first += int(others[:, 0].sum())
+            crowded_out += int(others.all(axis=1).sum())
+            others[others.all(axis=1), -1] = False
+            kept = idx[others].reshape(n, k)
+            expected = np.concatenate([centered, centered[kept].mean(axis=1) - centered], axis=1)
+            got = point_features(points, k)
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        assert copy_first > 100 and crowded_out > 10
 
     def test_more_than_k_duplicates_match_brute_force(self):
         points = duplicates_cloud()
@@ -752,7 +785,7 @@ def pipeline_arrays(points, pred):
         out += [np.array(inst.semantic_class), inst.point_indices,
                 np.array(r.transform.scale), r.transform.rotation,
                 r.transform.translation, r.size, np.array(r.inliers),
-                r.axis.origin, r.axis.direction, np.array(r.axis.kind)]
+                inst.axis.origin, inst.axis.direction, np.array(inst.axis.kind)]
     return out
 
 
@@ -794,6 +827,23 @@ class TestParamValidation:
             TrainConfig(freeze=("bogus",))
         with pytest.raises(ValueError):
             TrainConfig(w_sem=-1.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("learning_rate", np.nan), ("learning_rate", np.inf), ("momentum", np.nan),
+         ("momentum", 1.0), ("momentum", -0.1), ("momentum", np.inf),
+         ("w_sem", np.nan), ("w_center", np.inf), ("w_npcs", np.nan)],
+    )
+    def test_train_config_non_finite_or_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["offset_sigma", "npcs_sigma"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_oracle_noise_non_finite_sigma(self, field, value):
+        # A NaN sigma must not read as "no noise".
+        with pytest.raises(ValueError, match=field):
+            OracleNoise(**{field: value})
 
     def test_oracle_noise(self):
         with pytest.raises(ValueError):

@@ -77,7 +77,12 @@ class TestGenerateObject:
          ("body_extents_range", (0.6, 0.5)), ("camera_distance_range", (2.0, 1.0)),
          ("camera_elevation_range_deg", (60.0, 15.0)),
          ("camera_azimuth_range_deg", (360.0, 0.0)),
-         ("body_extents_range", (float("nan"), 0.5))],
+         ("body_extents_range", (float("nan"), 0.5)),
+         # A body or a camera distance of no length makes NaN scenes.
+         ("body_extents_range", (-1.0, 0.1)), ("body_extents_range", (0.0, 0.1)),
+         ("camera_distance_range", (0.0, 0.0)),
+         ("camera_distance_range", (1.0, float("inf"))),
+         ("camera_elevation_range_deg", (float("-inf"), 60.0))],
     )
     def test_bad_range_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -709,6 +714,11 @@ class TestSceneIO:
             (("instances", 0, "axis", "origin", 0), False),
             (("instances", 0, "axis", "dir", 0), True),
             (("camera_pose", "t", 1), False),
+            # Python's json writes and reads these; JSON has no such numbers.
+            (("camera_pose", "R", 0), float("nan")),
+            (("camera_pose", "t", 2), float("inf")),
+            (("instances", 0, "pose", "R", 4), float("-inf")),
+            (("instances", 0, "size", 1), float("nan")),
         ],
     )
     def test_rejects_what_json_does_not_call_an_integer_or_number(
@@ -752,6 +762,11 @@ class TestSceneIO:
             (("class",), "2"),
             (("class",), True),
             (("pose", "s"), [0.2]),  # a scale is one number, not a list
+            # Non-finite values, as a JSON number past 1.8e308 reads.
+            (("pose", "R"), [float("nan")] * 9),
+            (("pose", "R"), [float("inf"), 0, 0, 0, 1, 0, 0, 0, 1]),
+            (("pose", "t"), [0.0, float("-inf"), 0.0]),
+            (("pose", "t"), [float("nan"), 0.0, 0.0]),
         ],
     )
     def test_rejects_malformed_record(self, path, value):
