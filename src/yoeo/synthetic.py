@@ -526,6 +526,8 @@ def _numbers(values, count: int, what: str) -> np.ndarray:
         raise SceneFormatError(
             f"{what} must be {count} numbers, got shape {array.shape}"
         )
+    if not np.isfinite(array).all():  # a JSON number such as 1e400 reads as inf
+        raise SceneFormatError(f"{what} must be finite, got {array.tolist()}")
     return array
 
 

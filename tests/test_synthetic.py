@@ -767,6 +767,9 @@ class TestSceneIO:
             (("pose", "R"), [float("inf"), 0, 0, 0, 1, 0, 0, 0, 1]),
             (("pose", "t"), [0.0, float("-inf"), 0.0]),
             (("pose", "t"), [float("nan"), 0.0, 0.0]),
+            (("size",), [0.1, float("inf"), 0.1]),
+            (("axis", "origin"), [float("nan"), 0.0, 0.0]),
+            (("axis", "dir"), [0.0, 0.0, float("-inf")]),
         ],
     )
     def test_rejects_malformed_record(self, path, value):
